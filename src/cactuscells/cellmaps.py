@@ -235,25 +235,15 @@ class ParabolicInvolutions:
 
     def extended_left(self) -> CellularPair:
         """(lambda_I^L, eta_L^I): strongly left cellular on all of W."""
-        sys = self.algebra.system
-        delta: dict = {}
-        mu: dict = {}
-        for w in sys.all_ids():
-            x, u = self.pdata.decompose_left(w)
-            delta[w] = sys.multiply(x, self.left_map[u])
-            mu[w] = self.sign[u]
-        return CellularPair("left", delta, mu)
+        return CellularPair("left", self.pdata.extend_left(self.left_map), self._extended_sign("left"))
 
     def extended_right(self) -> CellularPair:
         """(rho_I^R, eta_R^I): strongly right cellular on all of W."""
-        sys = self.algebra.system
-        delta: dict = {}
-        mu: dict = {}
-        for w in sys.all_ids():
-            x, u = self.pdata.decompose_right(w)
-            delta[w] = sys.multiply(self.right_map[u], sys.inverse(x))
-            mu[w] = self.sign[u]
-        return CellularPair("right", delta, mu)
+        return CellularPair("right", self.pdata.extend_right(self.right_map), self._extended_sign("right"))
+
+    def _extended_sign(self, side: str) -> dict:
+        """The sign of the W_I-component of each w on the given side."""
+        return {w: self.sign[self.pdata.project(w, side)] for w in self.algebra.system.all_ids()}
 
 
 _par_cache: dict = {}

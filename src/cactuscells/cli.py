@@ -25,7 +25,7 @@ from .coxeter import system_from_config, weights_from_config
 from .hecke import ConsistencyError, algebra_for
 from . import laurent
 
-LARGE_GROUP_THRESHOLD = 400  # |B4|; bigger groups need an explicit opt-in
+LARGE_GROUP_THRESHOLD = 400  # above |B4| = 384; bigger groups need an explicit opt-in
 
 
 class UsageError(Exception):
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", help='e.g. "s=1,t=2"; tuples as "s=1:0"')
         p.add_argument("--config", help="JSON config file mirroring the flags")
         p.add_argument("--out", help="directory for artifact files (default: stdout)")
-        p.add_argument("--jobs", type=int, help="worker threads for table computations")
+        p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
         p.add_argument("--allow-large", action="store_true", help="acknowledge runtime for |W| > %d" % LARGE_GROUP_THRESHOLD)
         if parabolic:
             p.add_argument("--parabolic", help="comma-separated generators of W_I (default: all)")

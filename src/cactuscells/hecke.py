@@ -10,8 +10,15 @@ to T_w modulo strictly-negative-degree combinations of the T_x.  It is
 computed by triangular correction: starting from T_w, the bar-defect is a
 skew element whose leading coefficient splits uniquely into a strictly
 negative part, which is subtracted until the defect vanishes.  No
-mu-coefficient recursion is used anywhere, so unequal parameters cost
+mu-coefficient recursion is needed for C_w, so unequal parameters cost
 nothing special.
+
+Structure constants come from the left C_s recursion, which holds for any
+weights (Lusztig, Hecke algebras with unequal parameters, section 6): for
+x' = s x < x, C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, with the M read
+off the row cs_left_row(s, x').  So the row of C_x C_y in the C basis is
+built from the row of C_x' C_y and the rows of the lower C_z C_y, without
+passing through the standard basis.
 
 Internally coefficients are the plain dicts of `laurent`; element vectors
 are dicts mapping element ids to coefficient dicts.  All memo tables are
@@ -22,8 +29,6 @@ and results do not depend on scheduling.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import laurent
@@ -80,7 +85,6 @@ class HeckeAlgebra:
         self._h_complete = False
         self._cs_right: dict = {}
         self._mixed: dict = {}
-        self._lrows: OrderedDict = OrderedDict()
         self._lock = threading.RLock()
 
     # -- standard-basis plumbing -------------------------------------------------
@@ -233,64 +237,42 @@ class HeckeAlgebra:
 
     # -- structure constants -----------------------------------------------------------
 
-    def _left_rows(self, y: int) -> dict:
-        """T_u * C_y for every u, keyed by u (cached for a few recent y)."""
-        with self._lock:
-            rows = self._lrows.get(y)
-            if rows is not None:
-                self._lrows.move_to_end(y)
-                return rows
-        sys = self.system
-        rows = {0: self.kl_vec(y)}
-        for u in sys.all_ids():
-            if u == 0:
-                continue
-            word = sys.word(u)
-            rest = sys.id_of_word(word[1:])
-            rows[u] = self.mul_gen_left(word[0], rows[rest])
-        with self._lock:
-            self._lrows[y] = rows
-            if len(self._lrows) > 4:
-                self._lrows.popitem(last=False)
-        return rows
-
-    def _h_row_raw(self, x: int, y: int) -> dict:
-        rows = self._left_rows(y)
-        acc: dict = {}
-        for u, c in self.kl_vec(x).items():
-            for z, p in rows[u].items():
-                _acc(acc, z, laurent.mul(c, p))
-        return self.to_kl(acc)
-
     def h_row(self, x: int, y: int) -> dict:
-        """C_x C_y in the Kazhdan-Lusztig basis: a dict z -> h_{x,y,z}."""
+        """C_x C_y in the Kazhdan-Lusztig basis: a dict z -> h_{x,y,z}.
+
+        With s the first letter of x and x' = s x, C_s C_x' = C_x + sum m_z C_z
+        over z < x, so C_x C_y = C_s (C_x' C_y) - sum m_z C_z C_y.
+        """
         key = (x, y)
         row = self._h.get(key)
-        if row is None:
-            row = self._h_row_raw(x, y)
-            with self._lock:
-                self._h.setdefault(key, row)
-                row = self._h[key]
-        return row
+        if row is not None:
+            return row
+        if x == 0:
+            row = {y: {self.zero_exp: 1}}
+        else:
+            s = self.system.word(x)[0]
+            xp = self.system.left_mult_gen(s, x)
+            row = {}
+            for u, c in self.h_row(xp, y).items():
+                for z, p in self.cs_left_row(s, u).items():
+                    _acc(row, z, laurent.mul(c, p))
+            for z, m in self.cs_left_row(s, xp).items():
+                if z != x:
+                    for w, p in self.h_row(z, y).items():
+                        _acc(row, w, laurent.neg(laurent.mul(m, p)))
+        with self._lock:
+            return self._h.setdefault(key, row)
 
     def h_poly(self, x: int, y: int, z: int) -> dict:
         return self.h_row(x, y).get(z, {})
 
     def full_h_table(self, jobs: int = 1) -> dict:
-        """All structure-constant rows; deterministic content and ordering."""
+        """All structure-constant rows, keyed (x, y); `jobs` has no effect."""
         if not self._h_complete:
             ids = self.system.all_ids()
-            self._ensure_kl(ids[-1])
-
-            def column(y):
-                return y, [self.h_row(x, y) for x in ids]
-
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    list(pool.map(column, ids))
-            else:
-                for y in ids:
-                    column(y)
+            for y in ids:
+                for x in ids:
+                    self.h_row(x, y)
             self._h_complete = True
         return self._h
 
@@ -369,12 +351,6 @@ class HeckeAlgebra:
     @property
     def kl_table(self) -> "KLTable":
         return KLTable(self)
-
-    def weighted_length(self, w: int) -> tuple:
-        total = self.zero_exp
-        for s in self.system.word(w):
-            total = tuple(a + b for a, b in zip(total, self.weights.of(s)))
-        return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ import cactuscells.laurent as L
 from cactuscells.cells import compute_cells
 from cactuscells.hecke import algebra_for
 
-from support import UNEQ, B3_WEIGHTS, algebra, elem, s_i, system, t_i
+from support import UNEQ, B3_WEIGHTS, algebra, elem, s_i, system, t_i, weights
 
 
 def T(alg, labels):
@@ -298,6 +298,31 @@ def test_full_table_is_schedule_independent():
     serial = HeckeAlgebra(sysm, wt).full_h_table(jobs=1)
     threaded = HeckeAlgebra(sysm, wt).full_h_table(jobs=4)
     assert serial == threaded
+
+
+@pytest.mark.parametrize(
+    "name,spec",
+    [("I2(5)", None), ("I2(8)", (("s", 2), ("t", 3))), ("A3", None), ("B3", B3_WEIGHTS),
+     ("B3", (("t", (1, 0)), ("s1", (0, 1)), ("s2", (0, 1))))],
+)
+def test_h_rows_match_standard_basis_products(name, spec):
+    """The C_s recursion against C_x * C_y multiplied in the T basis and
+    rewritten by to_kl; the longest row is asked for first, on demand."""
+    from cactuscells.hecke import HeckeAlgebra
+
+    sysm, wt = system(name), weights(name, spec)
+    on_demand = HeckeAlgebra(sysm, wt)
+    w0 = sysm.longest_id()
+    first = on_demand.h_row(w0, w0)
+    full = HeckeAlgebra(sysm, wt)
+    table = full.full_h_table()
+    assert first == table[(w0, w0)]
+    assert on_demand.full_h_table() == table
+    one = {full.zero_exp: 1}
+    basis = {w: full.element({w: one}, basis="C") for w in sysm.all_ids()}
+    for x, cx in basis.items():
+        for y, cy in basis.items():
+            assert table[(x, y)] == (cx * cy).vec
 
 
 def test_structure_constants_public_api():
