@@ -6,19 +6,25 @@ relation (T_s - v^phi(s))(T_s + v^-phi(s)) = 0.  The bar involution is the
 A-semilinear ring involution with v -> v^-1 and T_w -> (T_{w^-1})^-1.
 
 The Kazhdan-Lusztig element C_w is the unique bar-fixed element congruent
-to T_w modulo strictly-negative-degree combinations of the T_x.  It is
-computed by triangular correction: starting from T_w, the bar-defect is a
-skew element whose leading coefficient splits uniquely into a strictly
-negative part, which is subtracted until the defect vanishes.  No
-mu-coefficient recursion is needed for C_w, so unequal parameters cost
-nothing special.
+to T_w modulo strictly-negative-degree combinations of the T_x.  Both C_w
+and the rows of C_s multiplication come from the left C_s recursion, which
+holds for any weights (Lusztig, Hecke algebras with unequal parameters,
+section 6): for y < s y,
 
-Structure constants come from the left C_s recursion, which holds for any
-weights (Lusztig, Hecke algebras with unequal parameters, section 6): for
-x' = s x < x, C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, with the M read
-off the row cs_left_row(s, x').  So the row of C_x C_y in the C basis is
-built from the row of C_x' C_y and the rows of the lower C_z C_y, without
-passing through the standard basis.
+    C_s C_y = C_{sy} + sum_{z < sy} M^s_{z,y} C_z
+
+with bar-fixed M.  Expanding C_s C_y in the standard basis and peeling off,
+from the top down, the bar-fixed completion of each coefficient that is not
+strictly negative leaves C_{sy} and yields the M (`_left_walk`).  So C_w is
+the walk on (s, s w) for s the first letter of w, and cs_left_row reads its
+M.  The anti-involution T_w -> T_{w^-1} commutes with bar and sends C_w to
+C_{w^-1}, so the right rows are the left rows of the inverses.  The bar
+images of the T_w serve only `HeckeElement.bar()`.
+
+Structure constants come from the same recursion: for x' = s x < x,
+C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, so the row of C_x C_y in the
+C basis is built from the row of C_x' C_y and the rows of the lower C_z C_y,
+without passing through the standard basis.
 
 Internally coefficients are the plain dicts of `laurent`; element vectors
 are dicts mapping element ids to coefficient dicts.  All memo tables are
@@ -28,6 +34,7 @@ and results do not depend on scheduling.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass
 
@@ -83,7 +90,6 @@ class HeckeAlgebra:
         self._kl: list[dict] = []
         self._h: dict = {}
         self._h_complete = False
-        self._cs_right: dict = {}
         self._mixed: dict = {}
         self._lock = threading.RLock()
 
@@ -177,25 +183,49 @@ class HeckeAlgebra:
             while len(self._kl) <= upto:
                 self._kl.append(self._compute_kl(len(self._kl)))
 
-    def _compute_kl(self, w: int) -> dict:
+    def _left_walk(self, s: int, y: int) -> tuple[dict, dict]:
+        """For y < s y: C_{sy} in the standard basis and the M with
+        C_s C_y = C_{sy} + sum_z M_z C_z."""
         zero = self.zero_exp
-        cur = self.t_of(w)
-        skew = self.bar_vec(cur)
-        for z, p in cur.items():
-            _acc(skew, z, laurent.neg(p))
-        while skew:
-            x = max(skew)
-            ax = skew[x]
-            if x >= w or not laurent.is_skew(ax):
-                raise ConsistencyError(
-                    "bar defect of T_%d has non-skew leading term at %d" % (w, x)
-                )
-            neg = laurent.negative_part(ax, zero)
-            _acc(cur, x, neg)
-            _acc(skew, x, laurent.neg(neg))
-            bneg = laurent.bar(neg)
-            for y, q in self._bar[x].items():
-                _acc(skew, y, laurent.mul(bneg, q))
+        cy = self.kl_vec(y)
+        sy = self.system.left_mult_gen(s, y)
+        vec = self.mul_gen_left(s, cy)
+        for z, p in cy.items():
+            _acc(vec, z, laurent.mul(self._vneg[s], p))
+        heap = [-z for z in vec if z != sy]
+        heapq.heapify(heap)
+        ms: dict = {}
+        while heap:
+            z = -heapq.heappop(heap)
+            p = vec.get(z)
+            if p is None or max(p) < zero:
+                continue
+            # the bar-fixed M_z that leaves a strictly negative coefficient
+            # at T_z: the terms of p of degree >= 0, mirrored
+            m = {}
+            for e, c in p.items():
+                if e >= zero:
+                    m[e] = c
+                    if e > zero:
+                        m[tuple(-x for x in e)] = c
+            ms[z] = m
+            neg_m = laurent.neg(m)
+            # C_z lives on ids <= z, so no id above z changes again
+            for x, q in self.kl_vec(z).items():
+                if x not in vec:
+                    heapq.heappush(heap, -x)
+                _acc(vec, x, laurent.mul(neg_m, q))
+        return vec, ms
+
+    def _compute_kl(self, w: int) -> dict:
+        """C_w from the walk on (s, s w), s the first letter of w; the walk's
+        row C_s C_{sw} goes into the memo of cs_left_row."""
+        zero = self.zero_exp
+        if w == 0:
+            return self.unit()
+        s = self.system.word(w)[0]
+        sw = self.system.left_mult_gen(s, w)
+        cur, ms = self._left_walk(s, sw)
         for x, p in cur.items():
             if x == w:
                 if p != {zero: 1}:
@@ -204,6 +234,7 @@ class HeckeAlgebra:
                 raise ConsistencyError(
                     "coefficient of T_%d in C_%d is not strictly negative" % (x, w)
                 )
+        self._h.setdefault((self.gen_id(s), sw), {w: {zero: 1}, **ms})
         return cur
 
     def kl_vec(self, w: int) -> dict:
@@ -277,32 +308,31 @@ class HeckeAlgebra:
         return self._h
 
     def cs_right_row(self, y: int, s: int) -> dict:
-        """C_y C_s in the Kazhdan-Lusztig basis (dense cache)."""
-        key = (y, s)
-        row = self._cs_right.get(key)
-        if row is None:
-            vec = self.mul_gen_right(self.kl_vec(y), s)
-            for z, p in self.kl_vec(y).items():
-                _acc(vec, z, laurent.mul(self._vneg[s], p))
-            row = self.to_kl(vec)
-            with self._lock:
-                self._cs_right.setdefault(key, row)
-                row = self._cs_right[key]
-        return row
+        """C_y C_s in the Kazhdan-Lusztig basis: cs_left_row(s, y^-1) inverted."""
+        inv = self.system.inverse
+        return {inv(z): p for z, p in self.cs_left_row(s, inv(y)).items()}
 
     def cs_left_row(self, s: int, y: int) -> dict:
-        """C_s C_y in the Kazhdan-Lusztig basis (cheap path, shared memo)."""
+        """C_s C_y in the Kazhdan-Lusztig basis (memo shared with h_row)."""
         key = (self.gen_id(s), y)
         row = self._h.get(key)
-        if row is None:
-            vec = self.mul_gen_left(s, self.kl_vec(y))
-            for z, p in self.kl_vec(y).items():
-                _acc(vec, z, laurent.mul(self._vneg[s], p))
-            row = self.to_kl(vec)
-            with self._lock:
-                self._h.setdefault(key, row)
-                row = self._h[key]
-        return row
+        if row is not None:
+            return row
+        sy = self.system.left_mult_gen(s, y)
+        if sy < y:
+            row = {y: laurent.add(self._vpos[s], self._vneg[s])}
+        else:
+            csy = self.kl_vec(sy)
+            row = self._h.get(key)
+            if row is None:
+                rem, ms = self._left_walk(s, y)
+                if rem != csy:
+                    raise ConsistencyError(
+                        "C_%d C_%d does not peel down to C_%d" % (self.gen_id(s), y, sy)
+                    )
+                row = {sy: {self.zero_exp: 1}, **ms}
+        with self._lock:
+            return self._h.setdefault(key, row)
 
     # -- mixed basis for a parabolic subgroup ------------------------------------------
 

@@ -4,12 +4,17 @@ structure constants against the dihedral closed forms, and the mixed basis."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cactuscells.laurent as L
+from cactuscells import WeightFunction
 from cactuscells.cells import compute_cells
-from cactuscells.hecke import algebra_for
+from cactuscells.hecke import HeckeAlgebra, algebra_for
 
 from support import UNEQ, B3_WEIGHTS, algebra, elem, s_i, system, t_i, weights
+
+I2_8 = (("s", 2), ("t", 3))
+B3_LEX = (("t", (1, -1)), ("s1", (1, 0)), ("s2", (1, 0)))
 
 
 def T(alg, labels):
@@ -117,10 +122,39 @@ def _kl_oracle(alg, w):
     return p
 
 
-@pytest.mark.parametrize("name", ["I2(3)", "I2(4)", "I2(5)", "A3"])
-def test_kl_matches_independent_oracle(name, spec=None):
+@pytest.mark.parametrize(
+    "name,spec",
+    [("I2(3)", None), ("I2(4)", None), ("I2(5)", None), ("A3", None),
+     ("I2(8)", I2_8), ("B3", B3_WEIGHTS), ("B3", B3_LEX)],
+    ids=["I2(3)", "I2(4)", "I2(5)", "A3", "I2(8)-s2t3", "B3-t2", "B3-lex"],
+)
+def test_kl_matches_independent_oracle(name, spec):
     alg = algebra(name, spec)
     for w in alg.system.all_ids():
+        assert _kl_oracle(alg, w) == alg.kl_vec(w)
+
+
+@st.composite
+def dihedral_weights(draw):
+    """I2(m) with random positive weights of rank 1 or 2 (lexicographic);
+    s and t are conjugate, so equally weighted, when m is odd."""
+    m = draw(st.integers(3, 10))
+    if draw(st.booleans()):
+        weight = st.integers(1, 4).map(lambda a: (a,))
+    else:
+        weight = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(lambda e: e > (0, 0))
+    ws = draw(weight)
+    wt = ws if m % 2 else draw(weight)
+    return m, ws, wt
+
+
+@settings(deadline=None)
+@given(dihedral_weights())
+def test_kl_matches_oracle_on_random_dihedral_weights(case):
+    m, ws, wt = case
+    sysm = system("I2(%d)" % m)
+    alg = HeckeAlgebra(sysm, WeightFunction.from_mapping(sysm, {"s": ws, "t": wt}))
+    for w in sysm.all_ids():
         assert _kl_oracle(alg, w) == alg.kl_vec(w)
 
 
@@ -264,8 +298,6 @@ def test_mixed_basis_inside_parabolic_is_plain_kl():
 def test_concurrent_table_reads_are_safe():
     import threading
 
-    from cactuscells.hecke import HeckeAlgebra
-
     reference = algebra("A3")
     fresh = HeckeAlgebra(system("A3"), reference.weights)
     ids = fresh.system.all_ids()
@@ -291,25 +323,53 @@ def test_concurrent_table_reads_are_safe():
 
 
 def test_full_table_is_schedule_independent():
-    from cactuscells.hecke import HeckeAlgebra
+    """full_h_table against every h_row asked for in descending (y, x) order
+    on a fresh algebra, before any C_w was built."""
+    for name, spec in (("I2(6)", UNEQ), ("B3", B3_LEX)):
+        sysm, wt = system(name), weights(name, spec)
+        table = HeckeAlgebra(sysm, wt).full_h_table()
+        descending = HeckeAlgebra(sysm, wt)
+        ids = sysm.all_ids()
+        rows = {(x, y): descending.h_row(x, y) for y in reversed(ids) for x in reversed(ids)}
+        assert rows == table
 
-    sysm = system("I2(6)")
-    wt = algebra("I2(6)", UNEQ).weights
-    serial = HeckeAlgebra(sysm, wt).full_h_table(jobs=1)
-    threaded = HeckeAlgebra(sysm, wt).full_h_table(jobs=4)
-    assert serial == threaded
+
+def _cs_row_oracle(alg, s, y, side):
+    """C_s C_y (left) or C_y C_s (right) multiplied in the T basis, as
+    T_s C_y + v^-L(s) C_y, and rewritten by to_kl."""
+    cy = alg.kl_vec(y)
+    vec = alg.mul_gen_left(s, cy) if side == "left" else alg.mul_gen_right(cy, s)
+    vneg = {tuple(-e for e in alg.weights.of(s)): 1}
+    for z, p in cy.items():
+        for e, c in L.mul(vneg, p).items():
+            L.add_term(vec.setdefault(z, {}), e, c)
+    return alg.to_kl({z: p for z, p in vec.items() if p})
+
+
+@pytest.mark.parametrize(
+    "name,spec", [("A3", None), ("I2(8)", I2_8), ("B3", B3_WEIGHTS), ("B3", B3_LEX)]
+)
+def test_cs_rows_match_standard_basis_products(name, spec):
+    sysm = system(name)
+    alg = HeckeAlgebra(sysm, weights(name, spec))
+    ids = sysm.all_ids()
+    rows = {
+        (s, y): (alg.cs_left_row(s, y), alg.cs_right_row(y, s))
+        for y in reversed(ids) for s in range(sysm.rank)
+    }
+    for (s, y), (left, right) in rows.items():
+        assert left == _cs_row_oracle(alg, s, y, "left")
+        assert right == _cs_row_oracle(alg, s, y, "right")
 
 
 @pytest.mark.parametrize(
     "name,spec",
-    [("I2(5)", None), ("I2(8)", (("s", 2), ("t", 3))), ("A3", None), ("B3", B3_WEIGHTS),
+    [("I2(5)", None), ("I2(8)", I2_8), ("A3", None), ("B3", B3_WEIGHTS),
      ("B3", (("t", (1, 0)), ("s1", (0, 1)), ("s2", (0, 1))))],
 )
 def test_h_rows_match_standard_basis_products(name, spec):
     """The C_s recursion against C_x * C_y multiplied in the T basis and
     rewritten by to_kl; the longest row is asked for first, on demand."""
-    from cactuscells.hecke import HeckeAlgebra
-
     sysm, wt = system(name), weights(name, spec)
     on_demand = HeckeAlgebra(sysm, wt)
     w0 = sysm.longest_id()
