@@ -135,11 +135,10 @@ class RelationCheck:
 class CactusAction:
     """The two commuting realizations of the cactus group inside Sym(W)."""
 
-    def __init__(self, algebra: HeckeAlgebra, jobs: int = 1):
+    def __init__(self, algebra: HeckeAlgebra):
         if not algebra.system.is_finite:
             raise ValueError("the cactus action is computed for finite W")
         self.algebra = algebra
-        self.jobs = jobs
         self.presentation = cactus_presentation(algebra.system)
         self._pairs: dict = {}
         self._lock = threading.Lock()
@@ -147,7 +146,7 @@ class CactusAction:
     # -- generator data ------------------------------------------------------------
 
     def involutions(self, labels) -> ParabolicInvolutions:
-        return parabolic_involutions(self.algebra, labels, jobs=self.jobs)
+        return parabolic_involutions(self.algebra, labels)
 
     def pair(self, labels, side: str) -> CellularPair:
         key = (self.presentation.canonical(labels), side)

@@ -7,7 +7,8 @@ terms, a single Kazhdan-Lusztig element with coefficient +-1.  This yields
 two involutions of W_I (one from each side) sharing one sign map; extending
 through the minimal coset representatives gives a permutation of all of W
 together with its sign.  These extended pairs are the generators of the
-cactus group action.
+cactus group action.  Every product by T_{w_I} is taken in the C basis by
+`HeckeAlgebra.t_word_kl`, and the involutions are memoized on the algebra.
 
 A pair (delta, mu) of a permutation of W and a sign map is *left cellular*
 when delta permutes the left cells and c_w -> mu_w c_{delta(w)} intertwines
@@ -24,7 +25,6 @@ computation is still attempted and the result is tagged unverified.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import laurent
@@ -129,20 +129,22 @@ def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, part) ->
     )
 
 
-_lei_cache: dict = {}
-_lei_lock = threading.Lock()
+def _t_word_shifted(algebra: HeckeAlgebra, side: str, letters, w: int, alpha) -> dict:
+    """v^alpha T_u C_w (side "left") or v^alpha C_w T_u (side "right"), in the C basis."""
+    vec = algebra.t_word_kl(side, letters, {w: {algebra.zero_exp: 1}})
+    return {z: laurent.shift(p, alpha) for z, p in vec.items()}
 
 
-def longest_element_involutions(algebra: HeckeAlgebra, jobs: int = 1) -> LongestElementInvolutions:
+def longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolutions:
     """Both involutions of W induced by w_0, with their common sign map."""
-    with _lei_lock:
-        cached = _lei_cache.get(id(algebra))
-    if cached is not None:
-        return cached
+    return algebra.memo("involutions", lambda: _longest_element_involutions(algebra))
+
+
+def _longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolutions:
     sys = algebra.system
     if not sys.is_finite:
         raise ValueError("longest-element involutions need a finite group")
-    table = build_a_table(algebra, jobs=jobs)
+    table = build_a_table(algebra)
     cells = table.cells
     hypotheses = verify_conjectures(table)
     hypotheses_hold = all(r.holds for r in hypotheses.values())
@@ -154,23 +156,14 @@ def longest_element_involutions(algebra: HeckeAlgebra, jobs: int = 1) -> Longest
     sign: dict = {}
     part = cells.two_sided
     for w in sys.all_ids():
-        alpha = table.alpha[w]
-        lhs = algebra.t_mul_word_left(w0_word, algebra.kl_vec(w))
-        lhs = {z: laurent.shift(p, alpha) for z, p in lhs.items()}
-        z, eps = _extract_signed_element(algebra, algebra.to_kl(lhs), w, part)
-        right_map[w] = z
-        sign[w] = eps
-
-        rhs = algebra.kl_vec(w)
-        for s in w0_word:
-            rhs = algebra.mul_gen_right(rhs, s)
-        rhs = {z2: laurent.shift(p, alpha) for z2, p in rhs.items()}
-        z2, eps2 = _extract_signed_element(algebra, algebra.to_kl(rhs), w, part)
-        left_map[w] = z2
-        if eps2 != eps:
-            raise TheoremViolationError(
-                "the two sign maps disagree at %r" % (sys.element(w).render() or "1")
-            )
+        # T_{w_0} C_w gives the right map and C_w T_{w_0} the left one
+        for side, image in (("left", right_map), ("right", left_map)):
+            vec = _t_word_shifted(algebra, side, w0_word, w, table.alpha[w])
+            image[w], eps = _extract_signed_element(algebra, vec, w, part)
+            if sign.setdefault(w, eps) != eps:
+                raise TheoremViolationError(
+                    "the two sign maps disagree at %r" % (sys.element(w).render() or "1")
+                )
 
     inv = sys.inverse
     for w in sys.all_ids():
@@ -188,7 +181,7 @@ def longest_element_involutions(algebra: HeckeAlgebra, jobs: int = 1) -> Longest
                 witness={"checks": checks},
             )
 
-    out = LongestElementInvolutions(
+    return LongestElementInvolutions(
         algebra=algebra,
         table=table,
         cells=cells,
@@ -198,10 +191,6 @@ def longest_element_involutions(algebra: HeckeAlgebra, jobs: int = 1) -> Longest
         hypotheses=hypotheses,
         hypotheses_hold=hypotheses_hold,
     )
-    with _lei_lock:
-        _lei_cache.setdefault(id(algebra), out)
-        out = _lei_cache[id(algebra)]
-    return out
 
 
 @dataclass
@@ -246,27 +235,22 @@ class ParabolicInvolutions:
         return {w: self.sign[self.pdata.project(w, side)] for w in self.algebra.system.all_ids()}
 
 
-_par_cache: dict = {}
-_par_lock = threading.Lock()
-
-
-def parabolic_involutions(algebra: HeckeAlgebra, labels, jobs: int = 1) -> ParabolicInvolutions:
+def parabolic_involutions(algebra: HeckeAlgebra, labels) -> ParabolicInvolutions:
     """Involutions of W_I inside (W, phi), computed in the standalone subsystem."""
     pdata = algebra.system.parabolic(labels)
-    key = (id(algebra), pdata.indices)
-    with _par_lock:
-        cached = _par_cache.get(key)
-    if cached is not None:
-        return cached
+    return algebra.memo(("parabolic", pdata.indices), lambda: _parabolic_involutions(algebra, pdata))
+
+
+def _parabolic_involutions(algebra: HeckeAlgebra, pdata: ParabolicData) -> ParabolicInvolutions:
     if not pdata.is_finite:
         raise ValueError("W_I must be finite")
     sub_algebra = algebra_for(pdata.subsystem, algebra.weights.restrict(pdata))
-    core = longest_element_involutions(sub_algebra, jobs=jobs)
+    core = longest_element_involutions(sub_algebra)
     to_parent = pdata.to_parent
     left_map = {to_parent(e): to_parent(core.left_map[e]) for e in range(pdata.subsystem.size())}
     right_map = {to_parent(e): to_parent(core.right_map[e]) for e in range(pdata.subsystem.size())}
     sign = {to_parent(e): core.sign[e] for e in range(pdata.subsystem.size())}
-    out = ParabolicInvolutions(
+    return ParabolicInvolutions(
         algebra=algebra,
         pdata=pdata,
         core=core,
@@ -274,10 +258,6 @@ def parabolic_involutions(algebra: HeckeAlgebra, labels, jobs: int = 1) -> Parab
         right_map=right_map,
         sign=sign,
     )
-    with _par_lock:
-        _par_cache.setdefault(key, out)
-        out = _par_cache[key]
-    return out
 
 
 # -- verification -----------------------------------------------------------------------
@@ -387,61 +367,37 @@ def verify_characterization(pinv: ParabolicInvolutions) -> dict:
     modulo the span of the C_u with pr_L(u) strictly below omega_I(pr_L(w))
     in the left preorder of W_I; mirrored on the right.
     """
+    return {side: _characterization(pinv, side) for side in ("left", "right")}
+
+
+def _characterization(pinv: ParabolicInvolutions, side: str) -> CheckReport:
     algebra = pinv.algebra
     sys = algebra.system
     pdata = pinv.pdata
     wI_word = sys.word(pdata.longest)
-    sub = pinv.sub_cells()
+    part = pinv.sub_cells().partition(side)
     to_sub = pdata.to_sub
-    left_pair = pinv.extended_left()
-    right_pair = pinv.extended_right()
-    wit_l: list = []
-    wit_r: list = []
+    pair = pinv.extended_left() if side == "left" else pinv.extended_right()
+    decompose = pdata.decompose_left if side == "left" else pdata.decompose_right
+    # the left version multiplies by T_{w_I} on the right, and vice versa
+    t_side = "right" if side == "left" else "left"
+    wit: list = []
     for w in sys.all_ids():
-        # left version
-        y = pdata.decompose_left(w)[1]
+        y = decompose(w)[1]
         omega_y = to_sub(pdata.omega(y))
-        vec = dict(algebra.kl_vec(w))
-        for s in wI_word:
-            vec = algebra.mul_gen_right(vec, s)
-        alpha = pinv.alpha_value(y)
-        vec = {z: laurent.shift(p, alpha) for z, p in vec.items()}
-        klc = algebra.to_kl(vec)
-        target = left_pair.delta[w]
-        eps = left_pair.mu[w]
+        klc = _t_word_shifted(algebra, t_side, wI_word, w, pinv.alpha_value(y))
+        target = pair.delta[w]
+        eps = pair.mu[w]
         for z, p in klc.items():
             expected = {algebra.zero_exp: eps} if z == target else {}
             if laurent.sub(p, expected):
-                if not sub.left.less(to_sub(pdata.decompose_left(z)[1]), omega_y):
-                    wit_l.append(_render(algebra, w))
+                if not part.less(to_sub(decompose(z)[1]), omega_y):
+                    wit.append(_render(algebra, w))
                     break
         else:
             if target not in klc:
-                wit_l.append("%s (target missing)" % _render(algebra, w))
-
-        # right version
-        u = pdata.decompose_right(w)[1]
-        omega_u = to_sub(pdata.omega(u))
-        vec = algebra.t_mul_word_left(wI_word, algebra.kl_vec(w))
-        alpha = pinv.alpha_value(u)
-        vec = {z: laurent.shift(p, alpha) for z, p in vec.items()}
-        klc = algebra.to_kl(vec)
-        target = right_pair.delta[w]
-        eps = right_pair.mu[w]
-        for z, p in klc.items():
-            expected = {algebra.zero_exp: eps} if z == target else {}
-            if laurent.sub(p, expected):
-                if not sub.right.less(to_sub(pdata.decompose_right(z)[1]), omega_u):
-                    wit_r.append(_render(algebra, w))
-                    break
-        else:
-            if target not in klc:
-                wit_r.append("%s (target missing)" % _render(algebra, w))
-
-    return {
-        "left": CheckReport("characterization-left", not wit_l, tuple(wit_l[:MAX_WITNESSES])),
-        "right": CheckReport("characterization-right", not wit_r, tuple(wit_r[:MAX_WITNESSES])),
-    }
+                wit.append("%s (target missing)" % _render(algebra, w))
+    return CheckReport("characterization-" + side, not wit, tuple(wit[:MAX_WITNESSES]))
 
 
 def verify_commutation(pinv: ParabolicInvolutions, pair: CellularPair) -> dict:
@@ -466,16 +422,17 @@ def verify_commutation(pinv: ParabolicInvolutions, pair: CellularPair) -> dict:
     }
 
 
-def degree_bounds_report(algebra: HeckeAlgebra, jobs: int = 1) -> CheckReport:
+def degree_bounds_report(algebra: HeckeAlgebra) -> CheckReport:
     """Writing T_{w_0} C_y = sum lambda_{x,y} C_x: deg lambda_{x,y} <= -alpha(x),
     with equality only if x and y share a left cell."""
     sys = algebra.system
-    table = build_a_table(algebra, jobs=jobs)
+    table = build_a_table(algebra)
     cells = table.cells
     w0_word = sys.word(sys.longest_id())
+    one = {algebra.zero_exp: 1}
     wit = []
     for y in sys.all_ids():
-        klc = algebra.to_kl(algebra.t_mul_word_left(w0_word, algebra.kl_vec(y)))
+        klc = algebra.t_word_kl("left", w0_word, {y: one})
         for x, p in klc.items():
             if not p:
                 continue

@@ -19,7 +19,6 @@ check is a result, not an error.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import laurent
@@ -200,16 +199,12 @@ class CellDecomposition:
         raise ValueError("unknown side %r" % side)
 
 
-_cells_cache: dict = {}
-_cells_lock = threading.Lock()
-
-
 def compute_cells(algebra: HeckeAlgebra) -> CellDecomposition:
     """Left, right and two-sided cells of a finite W with the given weights."""
-    with _cells_lock:
-        cached = _cells_cache.get(id(algebra))
-    if cached is not None:
-        return cached
+    return algebra.memo("cells", lambda: _compute_cells(algebra))
+
+
+def _compute_cells(algebra: HeckeAlgebra) -> CellDecomposition:
     sys = algebra.system
     ids = sys.all_ids()
     n = len(ids)
@@ -220,14 +215,11 @@ def compute_cells(algebra: HeckeAlgebra) -> CellDecomposition:
             left_adj[y].update(algebra.cs_left_row(s, y))
             right_adj[y].update(algebra.cs_right_row(y, s))
     both = [left_adj[y] | right_adj[y] for y in ids]
-    dec = CellDecomposition(
+    return CellDecomposition(
         left=_partition_from_edges("left", n, left_adj),
         right=_partition_from_edges("right", n, right_adj),
         two_sided=_partition_from_edges("two_sided", n, both),
     )
-    with _cells_lock:
-        _cells_cache[id(algebra)] = dec
-    return dec
 
 
 # -- a-function, Duflo set, conjectures --------------------------------------------------
@@ -252,19 +244,16 @@ class AFunctionTable:
         return self.algebra.h_poly(x, y, zi).get(self.a[zi], 0)
 
 
-_a_cache: dict = {}
-_a_lock = threading.Lock()
+def build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
+    """a, alpha, Delta, the Duflo set and the d-map, from the full h table."""
+    return algebra.memo("a_table", lambda: _build_a_table(algebra))
 
 
-def build_a_table(algebra: HeckeAlgebra, jobs: int = 1) -> AFunctionTable:
-    with _a_lock:
-        cached = _a_cache.get(id(algebra))
-    if cached is not None:
-        return cached
+def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
     sys = algebra.system
     cells = compute_cells(algebra)
     ids = sys.all_ids()
-    table = algebra.full_h_table(jobs=jobs)
+    table = algebra.full_h_table()
     a: list = [None] * len(ids)
     for (_x, _y), row in table.items():
         for z, p in row.items():
@@ -295,7 +284,7 @@ def build_a_table(algebra: HeckeAlgebra, jobs: int = 1) -> AFunctionTable:
     if bad:
         dmap = None
     report = CheckReport("unique-duflo-per-left-cell", not bad, tuple(bad[:MAX_WITNESSES]))
-    out = AFunctionTable(
+    return AFunctionTable(
         algebra=algebra,
         cells=cells,
         a=tuple(a),
@@ -305,10 +294,6 @@ def build_a_table(algebra: HeckeAlgebra, jobs: int = 1) -> AFunctionTable:
         dmap=dmap,
         dmap_report=report,
     )
-    with _a_lock:
-        _a_cache.setdefault(id(algebra), out)
-        out = _a_cache[id(algebra)]
-    return out
 
 
 def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) -> dict:

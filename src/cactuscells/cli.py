@@ -92,9 +92,11 @@ def _load_context(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     jobs = merged.get("jobs")
-    merged["jobs"] = 1 if jobs is None else int(jobs)
-    if merged["jobs"] < 1:
+    if jobs is not None and int(jobs) < 1:  # validated, though it has no effect
         raise UsageError("--jobs must be >= 1")
+    max_length = merged.get("max_length")
+    if max_length is not None and (type(max_length) is not int or max_length < 0):
+        raise UsageError("--max-length must be an integer >= 0")
     out = merged.get("out")
     merged["out"] = Path(out) if out else None
     return system, weights, merged
@@ -172,7 +174,7 @@ def _cmd_klbasis(args) -> int:
             )
     doc = {"pstar": pstar}
     if getattr(args, "with_h", False):
-        table = algebra.full_h_table(jobs=merged["jobs"])
+        table = algebra.full_h_table()
         hrecs = []
         for x in system.all_ids():
             for y in system.all_ids():
@@ -240,7 +242,7 @@ def _cmd_afunction(args) -> int:
     system, weights, merged = _load_context(args)
     _require_desk_scale(system, merged)
     algebra = algebra_for(system, weights)
-    table = build_a_table(algebra, jobs=merged["jobs"])
+    table = build_a_table(algebra)
     rows = []
     for w in system.all_ids():
         rows.append(
@@ -273,7 +275,7 @@ def _cmd_cellmaps(args) -> int:
     side = merged.get("side") or "left"
     if side not in ("left", "right"):
         raise UsageError("--side must be left or right")
-    pinv = parabolic_involutions(algebra, labels, jobs=merged["jobs"])
+    pinv = parabolic_involutions(algebra, labels)
     pair = pinv.extended_left() if side == "left" else pinv.extended_right()
     dec = compute_cells(algebra)
     reports = verify_cellular_pair(algebra, dec, pair)
@@ -314,7 +316,7 @@ def _cmd_conjectures(args) -> int:
     if bad:
         raise UsageError("unsupported conjecture names: %s" % ", ".join(bad))
     algebra = algebra_for(system, weights)
-    table = build_a_table(algebra, jobs=merged["jobs"])
+    table = build_a_table(algebra)
     reports = verify_conjectures(table, which)
     doc = {
         "checks": {k: _report_doc(r) for k, r in reports.items()},
@@ -328,7 +330,7 @@ def _cmd_cactus_verify(args) -> int:
     system, weights, merged = _load_context(args)
     _require_desk_scale(system, merged)
     algebra = algebra_for(system, weights)
-    action = CactusAction(algebra, jobs=merged["jobs"])
+    action = CactusAction(algebra)
     checks = action.verify_relations()
     doc = {
         "generators": [list(g) for g in action.presentation.generators],
@@ -361,7 +363,7 @@ def _cmd_cactus_act(args) -> int:
         raise UsageError("--side must be left or right")
     element_text = merged.get("element") or ""
     algebra = algebra_for(system, weights)
-    action = CactusAction(algebra, jobs=merged["jobs"])
+    action = CactusAction(algebra)
     for letter in word:
         if not action.presentation.is_generator(letter):
             raise UsageError("%r is not a cactus generator" % (",".join(letter),))
@@ -388,7 +390,7 @@ def _cmd_cactus_orbits(args) -> int:
     if side not in ("left", "right", "two-sided", "two_sided"):
         raise UsageError("--side must be left, right or two-sided")
     algebra = algebra_for(system, weights)
-    action = CactusAction(algebra, jobs=merged["jobs"])
+    action = CactusAction(algebra)
     orbits = action.orbits(side)
     doc = {
         "side": side.replace("_", "-"),

@@ -24,12 +24,15 @@ images of the T_w serve only `HeckeElement.bar()`.
 Structure constants come from the same recursion: for x' = s x < x,
 C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, so the row of C_x C_y in the
 C basis is built from the row of C_x' C_y and the rows of the lower C_z C_y,
-without passing through the standard basis.
+without passing through the standard basis.  Products by T_u also stay in
+the C basis (`t_word_kl`): T_s = C_s - v^-L(s) acts through the C_s rows.
 
 Internally coefficients are the plain dicts of `laurent`; element vectors
-are dicts mapping element ids to coefficient dicts.  All memo tables are
-lock-protected and immutable once inserted, so concurrent readers are safe
-and results do not depend on scheduling.
+are dicts mapping element ids to coefficient dicts.  All memo tables belong
+to the algebra, including the cells, a-tables and involutions that other
+modules keep in `HeckeAlgebra.memo`; they are lock-protected and immutable
+once inserted, so concurrent readers are safe and results do not depend on
+scheduling.
 """
 
 from __future__ import annotations
@@ -90,8 +93,19 @@ class HeckeAlgebra:
         self._kl: list[dict] = []
         self._h: dict = {}
         self._h_complete = False
-        self._mixed: dict = {}
+        self._memo: dict = {}
         self._lock = threading.RLock()
+
+    def memo(self, key, build):
+        """The value memoized on this algebra under `key`, made by `build()` on
+        first use, so it lives exactly as long as the algebra."""
+        with self._lock:
+            value = self._memo.get(key)
+        if value is None:
+            value = build()
+            with self._lock:
+                value = self._memo.setdefault(key, value)
+        return value
 
     # -- standard-basis plumbing -------------------------------------------------
 
@@ -298,7 +312,11 @@ class HeckeAlgebra:
         return self.h_row(x, y).get(z, {})
 
     def full_h_table(self, jobs: int = 1) -> dict:
-        """All structure-constant rows, keyed (x, y); `jobs` has no effect."""
+        """All structure-constant rows, keyed (x, y).
+
+        `jobs` is ignored; it stays accepted because the `h_table_jobs2` probe
+        in perfbench/workloads.py passes jobs=2.
+        """
         if not self._h_complete:
             ids = self.system.all_ids()
             for y in ids:
@@ -334,18 +352,31 @@ class HeckeAlgebra:
         with self._lock:
             return self._h.setdefault(key, row)
 
+    def t_word_kl(self, side: str, letters, klvec: dict) -> dict:
+        """T_u h (side "left") or h T_u (side "right") in the Kazhdan-Lusztig
+        basis, for a C-basis vector h and u given by a reduced word.
+
+        Each letter applies T_s = C_s - v^-L(s) through the C_s rows, so the
+        product never passes through the standard basis.
+        """
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        letters = tuple(letters)
+        for s in reversed(letters) if side == "left" else letters:
+            minus_vneg = laurent.neg(self._vneg[s])
+            out: dict = {}
+            for y, c in klvec.items():
+                row = self.cs_left_row(s, y) if side == "left" else self.cs_right_row(y, s)
+                for z, p in row.items():
+                    _acc(out, z, laurent.mul(c, p))
+                _acc(out, y, laurent.mul(c, minus_vneg))
+            klvec = out
+        return klvec
+
     # -- mixed basis for a parabolic subgroup ------------------------------------------
 
     def mixed_basis_table(self, pdata: ParabolicData) -> "MixedBasisTable":
-        key = pdata.indices
-        with self._lock:
-            table = self._mixed.get(key)
-        if table is None:
-            table = _build_mixed_table(self, pdata)
-            with self._lock:
-                self._mixed.setdefault(key, table)
-                table = self._mixed[key]
-        return table
+        return self.memo(("mixed", pdata.indices), lambda: _build_mixed_table(self, pdata))
 
     # -- public element-level API ----------------------------------------------------------
 

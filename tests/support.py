@@ -58,5 +58,6 @@ def render_set(sysm, ids):
 
 
 B3_WEIGHTS = (("t", 2), ("s1", 1), ("s2", 1))
+B3_LEX = (("t", (1, -1)), ("s1", (1, 0)), ("s2", (1, 0)))
 UNEQ = (("s", 1), ("t", 2))
 UNEQ_REV = (("s", 2), ("t", 1))

@@ -1,6 +1,9 @@
 """Longest-element involutions against the dihedral closed forms, cellularity,
 induction, characterization, commutation, signs, equivariance, degree bounds."""
 
+import gc
+import weakref
+
 import pytest
 
 from cactuscells import diagram_automorphisms
@@ -16,11 +19,14 @@ from cactuscells.cellmaps import (
     verify_descent_invariance,
     verify_mixed_basis_sign_identity,
 )
+from cactuscells.cells import build_a_table, compute_cells
 from cactuscells.coxeter import apply_index_map
+from cactuscells.hecke import HeckeAlgebra
 
 from support import (
     UNEQ,
     UNEQ_REV,
+    B3_LEX,
     B3_WEIGHTS,
     a_table,
     algebra,
@@ -29,6 +35,7 @@ from support import (
     s_i,
     system,
     t_i,
+    weights,
 )
 
 
@@ -310,7 +317,10 @@ def test_mixed_basis_sign_identity_all_parabolics(name, spec):
      ("B3", B3_WEIGHTS, ("t", "s1")),
      ("B3", B3_WEIGHTS, ("t", "s1", "s2")),
      ("A3", None, ("s1", "s2")),
-     ("I2(6)", UNEQ, ("s", "t"))],
+     ("I2(6)", UNEQ, ("s", "t")),
+     ("B3", B3_LEX, ("t", "s1")),
+     ("B3", B3_LEX, ("s1", "s2")),
+     ("B3", B3_LEX, ("t", "s1", "s2"))],
 )
 def test_characterization_congruences(name, spec, labels):
     pv = pinv(name, labels, spec)
@@ -477,8 +487,27 @@ def test_longest_element_conjugation_equivariance_a3():
 
 @pytest.mark.parametrize(
     "name,spec",
-    [("I2(4)", None), ("I2(5)", None), ("I2(6)", UNEQ), ("A3", None), ("B3", B3_WEIGHTS)],
+    [("I2(4)", None), ("I2(5)", None), ("I2(6)", UNEQ), ("A3", None), ("B3", B3_WEIGHTS),
+     ("B3", B3_LEX)],
 )
 def test_degree_bounds(name, spec):
     report = degree_bounds_report(algebra(name, spec))
     assert report.holds, report.witnesses
+
+
+# -- memo ownership ------------------------------------------------------------------------------
+
+
+def test_memos_are_freed_with_their_algebra():
+    """Cells, the a-table and the involutions are memoized on the algebra
+    itself, so a dropped algebra is freed and its id can never serve a
+    later algebra another group's cells."""
+    alg = HeckeAlgebra(system("B3"), weights("B3", B3_WEIGHTS))
+    assert len(compute_cells(alg).left.cell_of) == 48
+    assert build_a_table(alg).cells is compute_cells(alg)
+    assert longest_element_involutions(alg).algebra is alg
+    assert parabolic_involutions(alg, ("t", "s1")).algebra is alg
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None

@@ -216,6 +216,15 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "group", "--type", "A3", "--jobs", "0")[0] == 1
 
 
+def test_max_length_must_be_a_nonnegative_int(tmp_path, capsys):
+    code, out, err = run(capsys, "group", "--type", "A3", "--max-length", "-1")
+    assert code == 1 and out == "" and "max-length" in err
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"type": "A3", "max_length": "x"}))
+    code, out, err = run(capsys, "group", "--config", str(cfg))
+    assert code == 1 and out == "" and "max-length" in err
+
+
 def test_large_group_gate(capsys):
     code, _, err = run(capsys, "cells", "--matrix", json.dumps(
         [[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 3, 2], [2, 2, 3, 1, 3], [2, 2, 2, 3, 1]]

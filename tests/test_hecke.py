@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import cactuscells.laurent as L
 from cactuscells import WeightFunction
+from cactuscells.cactus import cactus_presentation
 from cactuscells.cells import compute_cells
 from cactuscells.hecke import HeckeAlgebra, algebra_for
 
-from support import UNEQ, B3_WEIGHTS, algebra, elem, s_i, system, t_i, weights
+from support import UNEQ, B3_LEX, B3_WEIGHTS, algebra, elem, s_i, system, t_i, weights
 
 I2_8 = (("s", 2), ("t", 3))
-B3_LEX = (("t", (1, -1)), ("s1", (1, 0)), ("s2", (1, 0)))
 
 
 def T(alg, labels):
@@ -360,6 +360,35 @@ def test_cs_rows_match_standard_basis_products(name, spec):
     for (s, y), (left, right) in rows.items():
         assert left == _cs_row_oracle(alg, s, y, "left")
         assert right == _cs_row_oracle(alg, s, y, "right")
+
+
+def _t_word_oracle(alg, side, letters, y):
+    """T_u C_y (left) or C_y T_u (right) multiplied in the T basis and
+    rewritten by to_kl."""
+    vec = alg.kl_vec(y)
+    if side == "left":
+        return alg.to_kl(alg.t_mul_word_left(letters, vec))
+    for s in letters:
+        vec = alg.mul_gen_right(vec, s)
+    return alg.to_kl(vec)
+
+
+@pytest.mark.parametrize(
+    "name,spec", [("A3", None), ("I2(8)", I2_8), ("B3", B3_WEIGHTS), ("B3", B3_LEX)]
+)
+def test_t_word_kl_matches_standard_basis_products(name, spec):
+    """T_{w_I} C_y and C_y T_{w_I} through the C_s rows, for every cactus
+    generator I (I = S included), against the T-basis product."""
+    sysm = system(name)
+    alg = HeckeAlgebra(sysm, weights(name, spec))
+    one = {alg.zero_exp: 1}
+    for g in cactus_presentation(sysm).generators:
+        word = sysm.word(sysm.parabolic(g).longest)
+        for y in sysm.all_ids():
+            for side in ("left", "right"):
+                assert alg.t_word_kl(side, word, {y: one}) == _t_word_oracle(alg, side, word, y)
+    with pytest.raises(ValueError):
+        alg.t_word_kl("both", (0,), {0: one})
 
 
 @pytest.mark.parametrize(
