@@ -332,13 +332,13 @@ def verify_descent_invariance(algebra: HeckeAlgebra, pair: CellularPair) -> Chec
 def verify_mixed_basis_sign_identity(pinv: ParabolicInvolutions) -> CheckReport:
     """Coefficients over the induced basis agree, up to signs, along the involution."""
     algebra = pinv.algebra
-    sys = algebra.system
     pdata = pinv.pdata
     table = algebra.mixed_basis_table(pdata)
     sub_left = pinv.sub_cells().left
     to_sub = pdata.to_sub
     members = list(pdata.elements)
     reps = list(pdata.min_reps)
+    ids = pdata.left_products
     wit = []
     for y in members:
         for x in members:
@@ -347,12 +347,12 @@ def verify_mixed_basis_sign_identity(pinv: ParabolicInvolutions) -> CheckReport:
             dx, dy = pinv.left_map[x], pinv.left_map[y]
             eps = pinv.sign[x] * pinv.sign[y]
             for b in reps:
-                row = table.rows[sys.multiply(b, y)]
-                drow = table.rows[sys.multiply(b, dy)]
+                row = table.rows[ids[b, y]]
+                drow = table.rows[ids[b, dy]]
                 for a in reps:
-                    p = row.get(sys.multiply(a, x), {})
-                    q = drow.get(sys.multiply(a, dx), {})
-                    if p != laurent.scale(q, eps):
+                    p = row.get(ids[a, x], {})
+                    q = drow.get(ids[a, dx], {})
+                    if p != (q if eps == 1 else laurent.neg(q)):
                         wit.append(
                             "(a=%s, x=%s, b=%s, y=%s)"
                             % tuple(_render(algebra, v) for v in (a, x, b, y))
@@ -378,12 +378,13 @@ def _characterization(pinv: ParabolicInvolutions, side: str) -> CheckReport:
     part = pinv.sub_cells().partition(side)
     to_sub = pdata.to_sub
     pair = pinv.extended_left() if side == "left" else pinv.extended_right()
-    decompose = pdata.decompose_left if side == "left" else pdata.decompose_right
+    ids = sys.all_ids()
+    pr = {w: pdata.project(w, side) for w in ids}
     # the left version multiplies by T_{w_I} on the right, and vice versa
     t_side = "right" if side == "left" else "left"
     wit: list = []
-    for w in sys.all_ids():
-        y = decompose(w)[1]
+    for w in ids:
+        y = pr[w]
         omega_y = to_sub(pdata.omega(y))
         klc = _t_word_shifted(algebra, t_side, wI_word, w, pinv.alpha_value(y))
         target = pair.delta[w]
@@ -391,7 +392,7 @@ def _characterization(pinv: ParabolicInvolutions, side: str) -> CheckReport:
         for z, p in klc.items():
             expected = {algebra.zero_exp: eps} if z == target else {}
             if laurent.sub(p, expected):
-                if not part.less(to_sub(decompose(z)[1]), omega_y):
+                if not part.less(to_sub(pr[z]), omega_y):
                     wit.append(_render(algebra, w))
                     break
         else:

@@ -21,7 +21,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclo import CosineRing
 
@@ -608,8 +608,28 @@ class ParabolicData:
             raise ValueError("W_I is infinite; elements are not enumerable")
         return self.sub_to_parent
 
+    @cached_property
+    def left_parts(self) -> dict:
+        """w -> (x, u) with w = x * u, x in min_reps and u in W_I, for every w
+        of a finite parent; built once from min_reps x elements."""
+        if self.min_reps is None:
+            raise ValueError("W is infinite; its cosets are not enumerable")
+        mul = self.parent.multiply
+        return {mul(x, u): (x, u) for x in self.min_reps for u in self.elements}
+
+    @cached_property
+    def left_products(self) -> dict:
+        """(x, u) -> x * u, the inverse of left_parts."""
+        return {xu: w for w, xu in self.left_parts.items()}
+
     def decompose_left(self, w: int) -> tuple[int, int]:
-        """w = x * u with x of minimal length in x W_I and u in W_I."""
+        """w = x * u with x of minimal length in x W_I and u in W_I.
+
+        A lookup in left_parts for a finite parent; an infinite one peels
+        right descents in I one at a time.
+        """
+        if self.min_reps is not None:
+            return self.left_parts[w]
         sys = self.parent
         peeled = []
         while True:

@@ -27,6 +27,16 @@ C basis is built from the row of C_x' C_y and the rows of the lower C_z C_y,
 without passing through the standard basis.  Products by T_u also stay in
 the C basis (`t_word_kl`): T_s = C_s - v^-L(s) acts through the C_s rows.
 
+The M do not depend on the basis the C are written in, so the same recursion
+writes C_w over the induced basis T_a C_x of a parabolic W_I (a minimal in
+a W_I, x in W_I; `MixedBasisTable`): C_x is its own row for x in W_I, and
+otherwise C_w = C_s C_{sw} - sum_{z != w} M_z C_z.  C_s = T_s + v^-L(s) acts
+on T_a C_x by Deodhar's lemma: T_{sa} C_x + v^L(s) T_a C_x if sa < a;
+T_{sa} C_x + v^-L(s) T_a C_x if sa is minimal in its coset; otherwise
+sa = a t with t in I, and the product is T_a C_t C_x, read off the C_t row
+of x inside W_I.  Its coefficients are Geck's relative Kazhdan-Lusztig
+polynomials (On the induction of Kazhdan-Lusztig cells).
+
 Internally coefficients are the plain dicts of `laurent`; element vectors
 are dicts mapping element ids to coefficient dicts.  All memo tables belong
 to the algebra, including the cells, a-tables and involutions that other
@@ -153,12 +163,6 @@ class HeckeAlgebra:
             for z, p in cur.items():
                 _acc(res, z, laurent.mul(p, c))
         return res
-
-    def t_mul_word_left(self, letters, h: dict) -> dict:
-        """T_u * h for u given by a reduced word (applied innermost-first)."""
-        for s in reversed(tuple(letters)):
-            h = self.mul_gen_left(s, h)
-        return h
 
     # -- bar involution -------------------------------------------------------------
 
@@ -527,8 +531,14 @@ class MixedBasisTable:
     """Expansion of the C-basis over the induced basis T_a C_x (a minimal, x in W_I).
 
     Rows are keyed by the element by (= b*y) and columns by u = a*x; the
-    decomposition of u recovers the pair (a, x).  Construction checks that
-    the diagonal coefficient is 1 and that off-diagonal coefficients are
+    decomposition of u recovers the pair (a, x).  The rows come from the left
+    C_s recursion: row(x) = {x: 1} for x in W_I, and otherwise, with s the
+    first letter of w and y = s w, row(w) = C_s row(y) - sum_{z != w} M_z
+    row(z), the M read off cs_left_row(s, y).  C_s sends the column u = a x
+    to s u with coefficient 1 plus u itself with v^L(s) if sa < a, or with
+    v^-L(s) if sa is minimal in its coset; otherwise sa = a t with t in I
+    and the column becomes T_a C_t C_x.  Construction checks that the
+    diagonal coefficient is 1 and that off-diagonal coefficients are
     strictly negative in degree; the finer support constraints are exposed
     for the verification layer.
     """
@@ -549,30 +559,54 @@ def _build_mixed_table(algebra: HeckeAlgebra, pdata: ParabolicData) -> MixedBasi
     if not sys.is_finite:
         raise ValueError("mixed basis tables need a finite group")
     zero = algebra.zero_exp
-    gvec: dict = {}
+    one = {zero: 1}
+    parts = pdata.left_parts
+    products = pdata.left_products
+    columns: dict = {}
 
-    def g_of(u: int) -> dict:
-        vec = gvec.get(u)
-        if vec is None:
-            a, x = pdata.decompose_left(u)
-            vec = algebra.t_mul_word_left(sys.word(a), algebra.kl_vec(x))
-            gvec[u] = vec
-        return vec
+    def cs_column(s: int, u: int) -> tuple:
+        """C_s T_a C_x for u = a x (Deodhar's lemma): (s u, e, None) when it is
+        T_{sa} C_x + v^e T_a C_x, else (None, None, the row over the basis)."""
+        key = (s, u)
+        col = columns.get(key)
+        if col is None:
+            a, x = parts[u]
+            sa = sys.left_mult_gen(s, a)
+            weight = algebra.weights.of(s)
+            if sys.length(sa) < sys.length(a):
+                col = (sys.left_mult_gen(s, u), weight, None)
+            elif parts[sa][1] == 0:
+                col = (sys.left_mult_gen(s, u), tuple(-e for e in weight), None)
+            else:
+                # s a = a t with t in I, so C_s T_a C_x = T_a C_t C_x
+                row = algebra.cs_left_row(sys.word(parts[sa][1])[0], x)
+                col = (None, None, {products[a, z]: p for z, p in row.items()})
+            columns[key] = col
+        return col
 
-    rows = {}
-    for w in sys.all_ids():
-        rem = {z: dict(p) for z, p in algebra.kl_vec(w).items()}
+    rows: dict = {}
+    for w in sys.all_ids():  # ids ascend in length, so every row used is built
+        if parts[w][0] == 0:
+            rows[w] = {w: dict(one)}
+            continue
+        s = sys.word(w)[0]
+        y = sys.left_mult_gen(s, w)
         out: dict = {}
-        while rem:
-            u = max(rem)
-            c = dict(rem[u])
-            out[u] = c
-            for z, p in g_of(u).items():
-                _acc(rem, z, laurent.neg(laurent.mul(c, p)))
-            if u in rem:
-                raise ConsistencyError("mixed-basis reduction failed at %d" % u)
-        diag = out.get(w)
-        if diag != {zero: 1}:
+        for u, c in rows[y].items():
+            su, e, col = cs_column(s, u)
+            if col is None:
+                _acc(out, su, c)
+                _acc(out, u, laurent.shift(c, e))
+            else:
+                for z, p in col.items():
+                    _acc(out, z, laurent.mul(c, p))
+        # C_s C_y = C_w + sum_z M_z C_z
+        for z, m in algebra.cs_left_row(s, y).items():
+            if z != w:
+                neg_m = laurent.neg(m)
+                for u, p in rows[z].items():
+                    _acc(out, u, laurent.mul(neg_m, p))
+        if out.get(w) != one:
             raise ConsistencyError("mixed-basis diagonal coefficient is not 1 at %d" % w)
         for u, p in out.items():
             if u != w and laurent.deg(p) >= zero:

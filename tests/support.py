@@ -61,3 +61,12 @@ B3_WEIGHTS = (("t", 2), ("s1", 1), ("s2", 1))
 B3_LEX = (("t", (1, -1)), ("s1", (1, 0)), ("s2", (1, 0)))
 UNEQ = (("s", 1), ("t", 2))
 UNEQ_REV = (("s", 2), ("t", 1))
+
+
+def t_mul_word_left(alg, letters, h):
+    """T_u * h in the standard basis, for u given by a reduced word (applied
+    innermost-first): the oracles' product, sharing no arithmetic with the
+    library's C-basis products."""
+    for s in reversed(tuple(letters)):
+        h = alg.mul_gen_left(s, h)
+    return h

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from cactuscells import diagram_automorphisms
+from cactuscells.cactus import cactus_presentation
 from cactuscells.cellmaps import (
     CellularPair,
     TheoremViolationError,
@@ -480,6 +481,29 @@ def test_longest_element_conjugation_equivariance_a3():
         pair2 = pinv(name, image_labels).extended_left()
         for w in sysm.all_ids():
             assert omega0(pair.delta[w]) == pair2.delta[omega0(w)]
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "I2(6)"])
+def test_extended_pairs_commute_with_diagram_automorphisms(name):
+    """sigma(lambda_I(w)) = lambda_{sigma(I)}(sigma(w)) with equal signs, and
+    the same for rho_I, for every diagram automorphism sigma and every proper
+    cactus generator I."""
+    sysm = system(name)
+    gens = [g for g in cactus_presentation(sysm).generators if len(g) < sysm.rank]
+    for sigma in diagram_automorphisms(sysm, algebra(name).weights):
+        image = {w: apply_index_map(sysm, sigma, w) for w in sysm.all_ids()}
+        for g in gens:
+            sigma_g = [sysm.labels[sigma[sysm.index_of[lab]]] for lab in g]
+            for side in ("left", "right"):
+                pair = _extended(pinv(name, g), side)
+                pair2 = _extended(pinv(name, sigma_g), side)
+                for w in sysm.all_ids():
+                    assert image[pair.delta[w]] == pair2.delta[image[w]]
+                    assert pair.mu[w] == pair2.mu[image[w]]
+
+
+def _extended(p, side):
+    return p.extended_left() if side == "left" else p.extended_right()
 
 
 # -- degree bounds -------------------------------------------------------------------------------

@@ -161,6 +161,37 @@ def test_coset_decomposition(name, labels):
     assert len(pdata.min_reps) * pdata.subsystem.order == sysm.order
 
 
+def _peel_left(pdata, w):
+    """w = x * u by peeling right descents in I one at a time."""
+    sysm = pdata.parent
+    peeled = []
+    while True:
+        ds = sysm.right_descents(w) & set(pdata.indices)
+        if not ds:
+            return w, sysm.id_of_word(reversed(peeled))
+        s = min(ds)
+        w = sysm.mult_gen(w, s)
+        peeled.append(s)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(6)"])
+def test_coset_table(name):
+    """left_parts against descent peeling, and left_products as its inverse,
+    for every parabolic, () and S included."""
+    sysm = system(name)
+    for r in range(sysm.rank + 1):
+        for labels in combinations(sysm.labels, r):
+            pdata = sysm.parabolic(labels)
+            reps, members = set(pdata.min_reps), set(pdata.elements)
+            assert len(pdata.left_parts) == sysm.order
+            for w in sysm.all_ids():
+                x, u = pdata.left_parts[w]
+                assert sysm.multiply(x, u) == w
+                assert x in reps and u in members
+                assert (x, u) == _peel_left(pdata, w) == pdata.decompose_left(w)
+                assert pdata.left_products[x, u] == w
+
+
 def test_coset_examples():
     sysm = system("I2(3)")
     pdata = sysm.parabolic(["s"])

@@ -2,6 +2,7 @@
 structure constants against the dihedral closed forms, and the mixed basis."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,20 @@ import cactuscells.laurent as L
 from cactuscells import WeightFunction
 from cactuscells.cactus import cactus_presentation
 from cactuscells.cells import compute_cells
-from cactuscells.hecke import HeckeAlgebra, algebra_for
+from cactuscells.hecke import ConsistencyError, HeckeAlgebra, algebra_for
 
-from support import UNEQ, B3_LEX, B3_WEIGHTS, algebra, elem, s_i, system, t_i, weights
+from support import (
+    UNEQ,
+    B3_LEX,
+    B3_WEIGHTS,
+    algebra,
+    elem,
+    s_i,
+    system,
+    t_i,
+    t_mul_word_left,
+    weights,
+)
 
 I2_8 = (("s", 2), ("t", 3))
 
@@ -284,6 +296,73 @@ def test_mixed_basis_invariants(name, spec, labels):
             assert sub_left.leq(pdata.to_sub(x), pdata.to_sub(y))
 
 
+def _mixed_table_oracle(alg, pdata):
+    """Each C_w reduced, largest id first, against the T_a C_x written in the
+    T basis, for a in min_reps and x in W_I."""
+    sysm = alg.system
+    gvec = {
+        sysm.multiply(a, x): t_mul_word_left(alg, sysm.word(a), alg.kl_vec(x))
+        for a in pdata.min_reps
+        for x in pdata.elements
+    }
+    rows = {}
+    for w in sysm.all_ids():
+        rem = {z: dict(p) for z, p in alg.kl_vec(w).items()}
+        out = {}
+        while rem:
+            u = max(rem)
+            c = dict(rem[u])
+            out[u] = c
+            for z, p in gvec[u].items():
+                acc = rem.setdefault(z, {})
+                for e, k in L.mul(c, p).items():
+                    L.add_term(acc, e, -k)
+                if not acc:
+                    del rem[z]
+            assert u not in rem
+        rows[w] = out
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name,spec",
+    [("A3", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX), ("I2(8)", I2_8), ("H3", None)],
+)
+def test_mixed_basis_table_matches_standard_basis_oracle(name, spec):
+    """The C_s recursion with Deodhar's three cases against the triangular
+    reduction in the T basis, for every parabolic, () and S included."""
+    alg = algebra(name, spec)
+    sysm = alg.system
+    for r in range(sysm.rank + 1):
+        for labels in combinations(sysm.labels, r):
+            pdata = sysm.parabolic(labels)
+            assert alg.mixed_basis_table(pdata).rows == _mixed_table_oracle(alg, pdata)
+
+
+def test_mixed_basis_table_consistency_checks(monkeypatch):
+    """Both invariants are checked on the recursion: a doubled leading
+    coefficient in the C_s rows breaks the unit diagonal, and dropping the M
+    leaves coefficients that are not strictly negative."""
+    alg = HeckeAlgebra(system("A3"), weights("A3"))
+    pdata = alg.system.parabolic(("s1", "s2"))
+    rows = alg.cs_left_row
+
+    def doubled_lead(s, y):
+        sy = alg.system.left_mult_gen(s, y)
+        return {z: L.scale(p, 2) if z == sy > y else p for z, p in rows(s, y).items()}
+
+    def no_m(s, y):
+        sy = alg.system.left_mult_gen(s, y)
+        return rows(s, y) if sy < y else {sy: {alg.zero_exp: 1}}
+
+    monkeypatch.setattr(alg, "cs_left_row", doubled_lead)
+    with pytest.raises(ConsistencyError, match="diagonal coefficient is not 1"):
+        alg.mixed_basis_table(pdata)
+    monkeypatch.setattr(alg, "cs_left_row", no_m)
+    with pytest.raises(ConsistencyError, match="not strictly negative"):
+        alg.mixed_basis_table(pdata)
+
+
 def test_mixed_basis_inside_parabolic_is_plain_kl():
     # for b = 1 and y in W_I the expansion has no terms with a != 1
     alg = algebra("B3", B3_WEIGHTS)
@@ -367,7 +446,7 @@ def _t_word_oracle(alg, side, letters, y):
     rewritten by to_kl."""
     vec = alg.kl_vec(y)
     if side == "left":
-        return alg.to_kl(alg.t_mul_word_left(letters, vec))
+        return alg.to_kl(t_mul_word_left(alg, letters, vec))
     for s in letters:
         vec = alg.mul_gen_right(vec, s)
     return alg.to_kl(vec)
