@@ -14,7 +14,6 @@ and composite sign maps are reported per decomposition only.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,26 +30,6 @@ __all__ = [
     "parse_word",
     "render_word",
 ]
-
-
-def _is_connected(system: CoxeterSystem, subset: tuple[int, ...]) -> bool:
-    if not subset:
-        return False
-    seen = {subset[0]}
-    stack = [subset[0]]
-    inside = set(subset)
-    while stack:
-        v = stack.pop()
-        for u in inside:
-            if u not in seen and u != v and system.matrix[v][u] != 2:
-                seen.add(u)
-                stack.append(u)
-    return seen == inside
-
-
-def _is_finite_subset(system: CoxeterSystem, subset: tuple[int, ...]) -> bool:
-    sub = system.parabolic([system.labels[i] for i in subset])
-    return sub.is_finite
 
 
 @dataclass(frozen=True)
@@ -73,11 +52,11 @@ class CactusPresentation:
 
 def cactus_presentation(system: CoxeterSystem) -> CactusPresentation:
     gens = []
-    n = system.rank
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if _is_connected(system, subset) and _is_finite_subset(system, subset):
-                gens.append(tuple(system.labels[i] for i in subset))
+    for size in range(1, system.rank + 1):
+        for subset in combinations(system.labels, size):
+            sub = system.parabolic(subset).subsystem
+            if len(sub.components) == 1 and sub.is_finite:
+                gens.append(subset)
     gen_sets = [frozenset(system.index_of[x] for x in g) for g in gens]
 
     commuting = []
@@ -140,8 +119,6 @@ class CactusAction:
             raise ValueError("the cactus action is computed for finite W")
         self.algebra = algebra
         self.presentation = cactus_presentation(algebra.system)
-        self._pairs: dict = {}
-        self._lock = threading.Lock()
 
     # -- generator data ------------------------------------------------------------
 
@@ -149,19 +126,10 @@ class CactusAction:
         return parabolic_involutions(self.algebra, labels)
 
     def pair(self, labels, side: str) -> CellularPair:
-        key = (self.presentation.canonical(labels), side)
-        if not self.presentation.is_generator(key[0]):
-            raise ValueError("%r is not a cactus generator for this system" % (key[0],))
-        with self._lock:
-            cached = self._pairs.get(key)
-        if cached is not None:
-            return cached
-        pinv = self.involutions(key[0])
-        pair = pinv.extended_left() if side == "left" else pinv.extended_right()
-        with self._lock:
-            self._pairs.setdefault(key, pair)
-            cached = self._pairs[key]
-        return cached
+        labels = self.presentation.canonical(labels)
+        if not self.presentation.is_generator(labels):
+            raise ValueError("%r is not a cactus generator for this system" % (labels,))
+        return self.involutions(labels).extended(side)
 
     def hypotheses_hold(self) -> bool:
         return all(

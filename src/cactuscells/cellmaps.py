@@ -8,7 +8,9 @@ two involutions of W_I (one from each side) sharing one sign map; extending
 through the minimal coset representatives gives a permutation of all of W
 together with its sign.  These extended pairs are the generators of the
 cactus group action.  Every product by T_{w_I} is taken in the C basis by
-`HeckeAlgebra.t_word_kl`, and the involutions are memoized on the algebra.
+`HeckeAlgebra.t_word_kl`, and the involutions are memoized on the algebra,
+as are the extended pairs: `ParabolicInvolutions.extended(side)` is the one
+place that picks the left or the right extension by side.
 
 A pair (delta, mu) of a permutation of W and a sign map is *left cellular*
 when delta permutes the left cells and c_w -> mu_w c_{delta(w)} intertwines
@@ -104,6 +106,10 @@ class LongestElementInvolutions:
     hypotheses_hold: bool
 
 
+def _render(algebra: HeckeAlgebra, w: int) -> str:
+    return algebra.system.element(w).render() or "1"
+
+
 def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, part) -> tuple[int, int]:
     """Drop the strictly-lower two-sided part, then demand exactly +-C_z."""
     remainder = {
@@ -118,8 +124,7 @@ def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, part) ->
             return z, -1
     sys = algebra.system
     raise TheoremViolationError(
-        "renormalised product at %r is not a signed basis element"
-        % (sys.element(w).render() or "1"),
+        "renormalised product at %r is not a signed basis element" % _render(algebra, w),
         witness={
             "element": sys.element(w).render(),
             "remainder": {
@@ -162,7 +167,7 @@ def _longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolut
             image[w], eps = _extract_signed_element(algebra, vec, w, part)
             if sign.setdefault(w, eps) != eps:
                 raise TheoremViolationError(
-                    "the two sign maps disagree at %r" % (sys.element(w).render() or "1")
+                    "the two sign maps disagree at %r" % _render(algebra, w)
                 )
 
     inv = sys.inverse
@@ -177,7 +182,7 @@ def _longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolut
         )
         if not all(checks):
             raise TheoremViolationError(
-                "involution structure fails at %r" % (sys.element(w).render() or "1"),
+                "involution structure fails at %r" % _render(algebra, w),
                 witness={"checks": checks},
             )
 
@@ -222,17 +227,33 @@ class ParabolicInvolutions:
     def sub_cells(self) -> CellDecomposition:
         return self.core.cells
 
+    def extended(self, side: str) -> CellularPair:
+        """The coset extension on the given side ("left" or "right").
+
+        The algebra's own involutions memoize it on the algebra, so each pair
+        lives exactly as long as it does; a modified copy (say, from
+        dataclasses.replace) builds its own and leaves that memo alone.
+        """
+        if self is not parabolic_involutions(self.algebra, self.pdata.labels):
+            return self._extend(side)
+        return self.algebra.memo(("extended", self.pdata.indices, side), lambda: self._extend(side))
+
     def extended_left(self) -> CellularPair:
         """(lambda_I^L, eta_L^I): strongly left cellular on all of W."""
-        return CellularPair("left", self.pdata.extend_left(self.left_map), self._extended_sign("left"))
+        return self.extended("left")
 
     def extended_right(self) -> CellularPair:
         """(rho_I^R, eta_R^I): strongly right cellular on all of W."""
-        return CellularPair("right", self.pdata.extend_right(self.right_map), self._extended_sign("right"))
+        return self.extended("right")
 
-    def _extended_sign(self, side: str) -> dict:
-        """The sign of the W_I-component of each w on the given side."""
-        return {w: self.sign[self.pdata.project(w, side)] for w in self.algebra.system.all_ids()}
+    def _extend(self, side: str) -> CellularPair:
+        if side == "left":
+            delta = self.pdata.extend_left(self.left_map)
+        else:
+            delta = self.pdata.extend_right(self.right_map)
+        # the sign of the W_I-component of each w on the given side
+        sign = {w: self.sign[self.pdata.project(w, side)] for w in self.algebra.system.all_ids()}
+        return CellularPair(side, delta, sign)
 
 
 def parabolic_involutions(algebra: HeckeAlgebra, labels) -> ParabolicInvolutions:
@@ -263,10 +284,6 @@ def _parabolic_involutions(algebra: HeckeAlgebra, pdata: ParabolicData) -> Parab
 # -- verification -----------------------------------------------------------------------
 
 
-def _render(algebra: HeckeAlgebra, w: int) -> str:
-    return algebra.system.element(w).render() or "1"
-
-
 def verify_cellular_pair(algebra: HeckeAlgebra, cells: CellDecomposition, pair: CellularPair) -> dict:
     """LC1 (cells map to cells), LC2 (module isomorphism), LC3 (strongness)."""
     sys = algebra.system
@@ -286,17 +303,9 @@ def verify_cellular_pair(algebra: HeckeAlgebra, cells: CellDecomposition, pair: 
     for w in sys.all_ids():
         cw = part.cell_of[w]
         for s in range(sys.rank):
-            row = (
-                algebra.cs_left_row(s, w)
-                if pair.side == "left"
-                else algebra.cs_right_row(w, s)
-            )
+            row = algebra.cs_row(pair.side, s, w)
             slice_w = {u: p for u, p in row.items() if part.cell_of[u] == cw and p}
-            drow = (
-                algebra.cs_left_row(s, delta[w])
-                if pair.side == "left"
-                else algebra.cs_right_row(delta[w], s)
-            )
+            drow = algebra.cs_row(pair.side, s, delta[w])
             cd = part.cell_of[delta[w]]
             slice_d = {u: p for u, p in drow.items() if part.cell_of[u] == cd and p}
             mapped = {
@@ -377,7 +386,7 @@ def _characterization(pinv: ParabolicInvolutions, side: str) -> CheckReport:
     wI_word = sys.word(pdata.longest)
     part = pinv.sub_cells().partition(side)
     to_sub = pdata.to_sub
-    pair = pinv.extended_left() if side == "left" else pinv.extended_right()
+    pair = pinv.extended(side)
     ids = sys.all_ids()
     pr = {w: pdata.project(w, side) for w in ids}
     # the left version multiplies by T_{w_I} on the right, and vice versa
@@ -409,7 +418,7 @@ def verify_commutation(pinv: ParabolicInvolutions, pair: CellularPair) -> dict:
     pairs with lambda_I^L and eta_L.
     """
     sys = pinv.algebra.system
-    ext = pinv.extended_right() if pair.side == "left" else pinv.extended_left()
+    ext = pinv.extended("right" if pair.side == "left" else "left")
     wit_c = []
     wit_s = []
     for w in sys.all_ids():

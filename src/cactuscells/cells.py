@@ -360,10 +360,7 @@ def cell_module_constants(algebra: HeckeAlgebra, cells: CellDecomposition, cell:
     out = {}
     for s in range(algebra.system.rank):
         for w in members:
-            row = (
-                algebra.cs_left_row(s, w) if side == "left" else algebra.cs_right_row(w, s)
-            )
-            for u, p in row.items():
+            for u, p in algebra.cs_row(side, s, w).items():
                 if part.cell_of[u] == cell and p:
                     out[(s, w, u)] = dict(p)
     return out

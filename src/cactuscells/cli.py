@@ -276,7 +276,7 @@ def _cmd_cellmaps(args) -> int:
     if side not in ("left", "right"):
         raise UsageError("--side must be left or right")
     pinv = parabolic_involutions(algebra, labels)
-    pair = pinv.extended_left() if side == "left" else pinv.extended_right()
+    pair = pinv.extended(side)
     dec = compute_cells(algebra)
     reports = verify_cellular_pair(algebra, dec, pair)
     reports["descent-invariance"] = verify_descent_invariance(algebra, pair)

@@ -18,7 +18,8 @@ from the top down, the bar-fixed completion of each coefficient that is not
 strictly negative leaves C_{sy} and yields the M (`_left_walk`).  So C_w is
 the walk on (s, s w) for s the first letter of w, and cs_left_row reads its
 M.  The anti-involution T_w -> T_{w^-1} commutes with bar and sends C_w to
-C_{w^-1}, so the right rows are the left rows of the inverses.  The bar
+C_{w^-1}, so the right rows are the left rows of the inverses; `cs_row`
+is the one place that picks the left or the right row by side.  The bar
 images of the T_w serve only `HeckeElement.bar()`.
 
 Structure constants come from the same recursion: for x' = s x < x,
@@ -93,8 +94,11 @@ class HeckeAlgebra:
         self.rank = weights.rank
         self.group = OrderedAbelianGroup(self.rank)
         self.zero_exp = (0,) * self.rank
-        self._vpos = [{weights.of(s): 1} for s in range(system.rank)]
-        self._vneg = [{tuple(-x for x in weights.of(s)): 1} for s in range(system.rank)]
+        # v^L(s) + v^-L(s), the diagonal of C_s C_y for sy < y
+        self._cs_diag = [
+            laurent.add({weights.of(s): 1}, {tuple(-x for x in weights.of(s)): 1})
+            for s in range(system.rank)
+        ]
         self._xi = [
             {weights.of(s): 1, tuple(-x for x in weights.of(s)): -1}
             for s in range(system.rank)
@@ -208,8 +212,9 @@ class HeckeAlgebra:
         cy = self.kl_vec(y)
         sy = self.system.left_mult_gen(s, y)
         vec = self.mul_gen_left(s, cy)
+        neg_weight = tuple(-x for x in self.weights.of(s))
         for z, p in cy.items():
-            _acc(vec, z, laurent.mul(self._vneg[s], p))
+            _acc(vec, z, laurent.shift(p, neg_weight))
         heap = [-z for z in vec if z != sy]
         heapq.heapify(heap)
         ms: dict = {}
@@ -329,6 +334,10 @@ class HeckeAlgebra:
             self._h_complete = True
         return self._h
 
+    def cs_row(self, side: str, s: int, y: int) -> dict:
+        """C_s C_y (side "left") or C_y C_s (otherwise) in the Kazhdan-Lusztig basis."""
+        return self.cs_left_row(s, y) if side == "left" else self.cs_right_row(y, s)
+
     def cs_right_row(self, y: int, s: int) -> dict:
         """C_y C_s in the Kazhdan-Lusztig basis: cs_left_row(s, y^-1) inverted."""
         inv = self.system.inverse
@@ -342,7 +351,7 @@ class HeckeAlgebra:
             return row
         sy = self.system.left_mult_gen(s, y)
         if sy < y:
-            row = {y: laurent.add(self._vpos[s], self._vneg[s])}
+            row = {y: dict(self._cs_diag[s])}
         else:
             csy = self.kl_vec(sy)
             row = self._h.get(key)
@@ -367,13 +376,12 @@ class HeckeAlgebra:
             raise ValueError("side must be 'left' or 'right'")
         letters = tuple(letters)
         for s in reversed(letters) if side == "left" else letters:
-            minus_vneg = laurent.neg(self._vneg[s])
+            neg_weight = tuple(-x for x in self.weights.of(s))
             out: dict = {}
             for y, c in klvec.items():
-                row = self.cs_left_row(s, y) if side == "left" else self.cs_right_row(y, s)
-                for z, p in row.items():
+                for z, p in self.cs_row(side, s, y).items():
                     _acc(out, z, laurent.mul(c, p))
-                _acc(out, y, laurent.mul(c, minus_vneg))
+                _acc(out, y, laurent.neg(laurent.shift(c, neg_weight)))
             klvec = out
         return klvec
 

@@ -44,6 +44,16 @@ def test_presentation_infinite_subsets_excluded():
     inf = get_system(((1, 0), (0, 1)), ("s", "t"))
     pres = cactus_presentation(inf)
     assert pres.generators == (("s",), ("t",))
+    # (s, t) is connected but infinite, (s, u) finite but disconnected, and
+    # the triple is infinite
+    rank3 = get_system(((1, 0, 2), (0, 1, 3), (2, 3, 1)), ("s", "t", "u"))
+    pres = cactus_presentation(rank3)
+    assert pres.generators == (("s",), ("t",), ("u",), ("t", "u"))
+    assert pres.commuting == ((("s",), ("u",)),)
+    assert pres.nested == (
+        (("t",), ("t", "u"), ("u",)),
+        (("u",), ("t", "u"), ("t",)),
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from cactuscells import diagram_automorphisms
-from cactuscells.cactus import cactus_presentation
+from cactuscells.cactus import CactusAction, cactus_presentation
 from cactuscells.cellmaps import (
     CellularPair,
     TheoremViolationError,
@@ -424,6 +424,9 @@ def test_verifiers_detect_corrupted_pairs():
     flipped[s1] = -flipped[s1]
     corrupted = dataclasses.replace(pv, sign=flipped)
     assert not verify_mixed_basis_sign_identity(corrupted).holds
+    # the copy extends its own signs and leaves the algebra's memoized pair alone
+    assert corrupted.extended_left().mu[s1] == flipped[s1]
+    assert pv.extended_left().mu[s1] == pv.sign[s1]
 
 
 def test_conjecture_checker_detects_failures():
@@ -530,8 +533,26 @@ def test_memos_are_freed_with_their_algebra():
     assert len(compute_cells(alg).left.cell_of) == 48
     assert build_a_table(alg).cells is compute_cells(alg)
     assert longest_element_involutions(alg).algebra is alg
-    assert parabolic_involutions(alg, ("t", "s1")).algebra is alg
+    pv = parabolic_involutions(alg, ("t", "s1"))
+    assert pv.algebra is alg
+    assert pv.extended_left().side == "left"
+    assert pv.extended_right().side == "right"
+    assert CactusAction(alg).pair(("t", "s1"), "left") is pv.extended_left()
+    del pv
     ref = weakref.ref(alg)
     del alg
     gc.collect()
     assert ref() is None
+
+
+def test_cactus_pairs_are_the_memoized_extensions():
+    """CactusAction keeps no pairs of its own: each generator's pair is the
+    extension memoized on the algebra, shared by every caller."""
+    alg = algebra("B3", B3_WEIGHTS)
+    act = CactusAction(alg)
+    for g in act.presentation.generators:
+        pv = parabolic_involutions(alg, g)
+        for side in ("left", "right"):
+            assert act.pair(g, side) is pv.extended(side)
+        assert pv.extended("left") is pv.extended_left()
+        assert pv.extended("right") is pv.extended_right()

@@ -439,6 +439,8 @@ def test_cs_rows_match_standard_basis_products(name, spec):
     for (s, y), (left, right) in rows.items():
         assert left == _cs_row_oracle(alg, s, y, "left")
         assert right == _cs_row_oracle(alg, s, y, "right")
+        assert alg.cs_row("left", s, y) == left
+        assert alg.cs_row("right", s, y) == right
 
 
 def _t_word_oracle(alg, side, letters, y):
