@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .cells import CheckReport, MAX_WITNESSES
 from .cellmaps import CellularPair, ParabolicInvolutions, parabolic_involutions
-from .coxeter import CoxeterSystem
+from .coxeter import CoxeterSystem, equivalence_classes
 from .hecke import HeckeAlgebra
 
 __all__ = [
@@ -140,9 +140,7 @@ class CactusAction:
 
     def act(self, word, side: str, w: int) -> int:
         """Apply the word (leftmost letter outermost) to element id w."""
-        for letter in reversed(tuple(word)):
-            w = self.pair(letter, side).delta[w]
-        return w
+        return self.act_with_sign(word, side, w)[0]
 
     def act_with_sign(self, word, side: str, w: int) -> tuple[int, int]:
         """Image and the per-decomposition composite sign along the orbit."""
@@ -163,84 +161,49 @@ class CactusAction:
 
     # -- relation verification --------------------------------------------------------------
 
-    def _perm(self, labels, side: str) -> dict:
-        return self.pair(labels, side).delta
-
     def verify_relations(self) -> list[RelationCheck]:
+        """Each relation as f(g(w)) = h(k(w)) on W, witnessed where they differ."""
         sys = self.algebra.system
         ids = sys.all_ids()
+        pres = self.presentation
+        perm = {
+            (g, side): self.pair(g, side).delta
+            for side in ("left", "right")
+            for g in pres.generators
+        }
+        identity = {w: w for w in ids}
         out = []
 
-        def diff(p, q):
-            return tuple(
-                sys.element(w).render() or "1" for w in ids if p[w] != q[w]
+        def check(kind, family, subsets, f, g, h, k):
+            wit = tuple(
+                sys.element(w).render() or "1" for w in ids if f[g[w]] != h[k[w]]
             )[:MAX_WITNESSES]
+            out.append(RelationCheck(kind, family, subsets, CheckReport(kind, not wit, wit)))
 
         for side in ("left", "right"):
-            for g in self.presentation.generators:
-                p = self._perm(g, side)
-                wit = diff({w: p[p[w]] for w in ids}, {w: w for w in ids})
-                out.append(
-                    RelationCheck("C1", side, (g,), CheckReport("C1", not wit, wit))
-                )
-            for ga, gb in self.presentation.commuting:
-                pa, pb = self._perm(ga, side), self._perm(gb, side)
-                wit = diff({w: pa[pb[w]] for w in ids}, {w: pb[pa[w]] for w in ids})
-                out.append(
-                    RelationCheck("C2", side, (ga, gb), CheckReport("C2", not wit, wit))
-                )
-            for inner, outer, image in self.presentation.nested:
-                pi, po, pim = (
-                    self._perm(inner, side),
-                    self._perm(outer, side),
-                    self._perm(image, side),
-                )
-                wit = diff({w: pi[po[w]] for w in ids}, {w: po[pim[w]] for w in ids})
-                out.append(
-                    RelationCheck(
-                        "C3", side, (inner, outer, image), CheckReport("C3", not wit, wit)
-                    )
-                )
-        for ga in self.presentation.generators:
-            for gb in self.presentation.generators:
-                pl, pr = self._perm(ga, "left"), self._perm(gb, "right")
-                wit = diff({w: pl[pr[w]] for w in ids}, {w: pr[pl[w]] for w in ids})
-                out.append(
-                    RelationCheck(
-                        "cross", "both", (ga, gb), CheckReport("cross", not wit, wit)
-                    )
-                )
+            for g in pres.generators:
+                p = perm[g, side]
+                check("C1", side, (g,), p, p, identity, identity)
+            for ga, gb in pres.commuting:
+                pa, pb = perm[ga, side], perm[gb, side]
+                check("C2", side, (ga, gb), pa, pb, pb, pa)
+            for inner, outer, image in pres.nested:
+                pi, po, pim = perm[inner, side], perm[outer, side], perm[image, side]
+                check("C3", side, (inner, outer, image), pi, po, po, pim)
+        for ga in pres.generators:
+            for gb in pres.generators:
+                pl, pr = perm[ga, "left"], perm[gb, "right"]
+                check("cross", "both", (ga, gb), pl, pr, pr, pl)
         return out
 
     # -- orbits ---------------------------------------------------------------------------------
 
     def orbits(self, side: str) -> tuple[frozenset, ...]:
         """Orbit partition of W under the chosen generator family (or both)."""
-        sys = self.algebra.system
-        ids = sys.all_ids()
-        parent = list(ids)
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        perms = []
-        if side in ("left", "two_sided", "two-sided"):
-            perms += [self._perm(g, "left") for g in self.presentation.generators]
-        if side in ("right", "two_sided", "two-sided"):
-            perms += [self._perm(g, "right") for g in self.presentation.generators]
-        if not perms:
+        sides = [s for s in ("left", "right") if side in (s, "two_sided", "two-sided")]
+        if not sides:
             raise ValueError("side must be 'left', 'right' or 'two-sided'")
-        for p in perms:
-            for w in ids:
-                ra, rb = find(w), find(p[w])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict = {}
-        for w in ids:
-            groups.setdefault(find(w), []).append(w)
-        return tuple(
-            frozenset(v) for _, v in sorted(groups.items(), key=lambda kv: kv[0])
-        )
+        ids = self.algebra.system.all_ids()
+        perms = [self.pair(g, s).delta for s in sides for g in self.presentation.generators]
+        moves = ((w, p[w]) for p in perms for w in ids)
+        return tuple(frozenset(c) for c in equivalence_classes(len(ids), moves))

@@ -9,8 +9,8 @@ through the minimal coset representatives gives a permutation of all of W
 together with its sign.  These extended pairs are the generators of the
 cactus group action.  Every product by T_{w_I} is taken in the C basis by
 `HeckeAlgebra.t_word_kl`, and the involutions are memoized on the algebra,
-as are the extended pairs: `ParabolicInvolutions.extended(side)` is the one
-place that picks the left or the right extension by side.
+each with its extended pairs: `ParabolicInvolutions.extended(side)` is the
+one place that picks the left or the right extension by side.
 
 A pair (delta, mu) of a permutation of W and a sign map is *left cellular*
 when delta permutes the left cells and c_w -> mu_w c_{delta(w)} intertwines
@@ -27,7 +27,7 @@ computation is still attempted and the result is tagged unverified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import laurent
 from .cells import (
@@ -208,6 +208,7 @@ class ParabolicInvolutions:
     left_map: dict  # on parent ids of W_I
     right_map: dict
     sign: dict
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -230,13 +231,12 @@ class ParabolicInvolutions:
     def extended(self, side: str) -> CellularPair:
         """The coset extension on the given side ("left" or "right").
 
-        The algebra's own involutions memoize it on the algebra, so each pair
-        lives exactly as long as it does; a modified copy (say, from
-        dataclasses.replace) builds its own and leaves that memo alone.
+        Each pair is cached on these involutions, so it lives exactly as long
+        as they do; setdefault keeps the first of two concurrent builds.  A
+        copy (say, from dataclasses.replace) starts with an empty cache and
+        extends its own maps and signs.
         """
-        if self is not parabolic_involutions(self.algebra, self.pdata.labels):
-            return self._extend(side)
-        return self.algebra.memo(("extended", self.pdata.indices, side), lambda: self._extend(side))
+        return self._pairs.get(side) or self._pairs.setdefault(side, self._extend(side))
 
     def extended_left(self) -> CellularPair:
         """(lambda_I^L, eta_L^I): strongly left cellular on all of W."""
@@ -339,7 +339,10 @@ def verify_descent_invariance(algebra: HeckeAlgebra, pair: CellularPair) -> Chec
 
 
 def verify_mixed_basis_sign_identity(pinv: ParabolicInvolutions) -> CheckReport:
-    """Coefficients over the induced basis agree, up to signs, along the involution."""
+    """Coefficients over the induced basis agree, up to signs, along the involution.
+
+    Rows are grouped once into slices x -> {a: coefficient}; only a slice
+    that differs from its signed image is scanned over a for witnesses."""
     algebra = pinv.algebra
     pdata = pinv.pdata
     table = algebra.mixed_basis_table(pdata)
@@ -348,6 +351,13 @@ def verify_mixed_basis_sign_identity(pinv: ParabolicInvolutions) -> CheckReport:
     members = list(pdata.elements)
     reps = list(pdata.min_reps)
     ids = pdata.left_products
+    parts = pdata.left_parts
+    slices: dict = {}
+    for w, row in table.rows.items():
+        by_x = slices[w] = {}
+        for u, p in row.items():
+            a, x = parts[u]
+            by_x.setdefault(x, {})[a] = p
     wit = []
     for y in members:
         for x in members:
@@ -356,16 +366,15 @@ def verify_mixed_basis_sign_identity(pinv: ParabolicInvolutions) -> CheckReport:
             dx, dy = pinv.left_map[x], pinv.left_map[y]
             eps = pinv.sign[x] * pinv.sign[y]
             for b in reps:
-                row = table.rows[ids[b, y]]
-                drow = table.rows[ids[b, dy]]
-                for a in reps:
-                    p = row.get(ids[a, x], {})
-                    q = drow.get(ids[a, dx], {})
-                    if p != (q if eps == 1 else laurent.neg(q)):
-                        wit.append(
-                            "(a=%s, x=%s, b=%s, y=%s)"
-                            % tuple(_render(algebra, v) for v in (a, x, b, y))
-                        )
+                p, q = slices[ids[b, y]].get(x, {}), slices[ids[b, dy]].get(dx, {})
+                if eps == -1:
+                    q = {a: laurent.neg(c) for a, c in q.items()}
+                if p != q:
+                    wit += [
+                        "(a=%s, x=%s, b=%s, y=%s)" % tuple(_render(algebra, v) for v in (a, x, b, y))
+                        for a in reps
+                        if p.get(a, {}) != q.get(a, {})
+                    ]
     return CheckReport("mixed-basis-sign-identity", not wit, tuple(wit[:MAX_WITNESSES]))
 
 

@@ -102,7 +102,9 @@ def _load_context(args):
     return system, weights, merged
 
 
-def _require_desk_scale(system, merged) -> None:
+def _desk_context(args):
+    """(system, merged config, algebra) for a finite group at desk scale."""
+    system, weights, merged = _load_context(args)
     if not system.is_finite:
         raise UsageError("this command needs a finite group (see `group --max-length`)")
     if system.order > LARGE_GROUP_THRESHOLD and not merged.get("allow_large"):
@@ -110,6 +112,14 @@ def _require_desk_scale(system, merged) -> None:
             "|W| = %d exceeds the desk-scale ceiling (%d); pass --allow-large "
             "to acknowledge the runtime" % (system.order, LARGE_GROUP_THRESHOLD)
         )
+    return system, merged, algebra_for(system, weights)
+
+
+def _side(merged, default: str, allowed: tuple, names: str) -> str:
+    side = merged.get("side") or default
+    if side not in allowed:
+        raise UsageError("--side must be %s" % names)
+    return side
 
 
 def _render(system, w: int) -> str:
@@ -159,9 +169,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_klbasis(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
-    algebra = algebra_for(system, weights)
+    system, merged, algebra = _desk_context(args)
     pstar = []
     for y in system.all_ids():
         for x in sorted(algebra.kl_vec(y)):
@@ -208,9 +216,7 @@ def _dot_text(system, part, name: str) -> str:
 
 
 def _cmd_cells(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
-    algebra = algebra_for(system, weights)
+    system, merged, algebra = _desk_context(args)
     dec = compute_cells(algebra)
     cells_doc = []
     order_doc = []
@@ -239,9 +245,7 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_afunction(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
-    algebra = algebra_for(system, weights)
+    system, merged, algebra = _desk_context(args)
     table = build_a_table(algebra)
     rows = []
     for w in system.all_ids():
@@ -268,13 +272,9 @@ def _report_doc(report) -> dict:
 
 
 def _cmd_cellmaps(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
-    algebra = algebra_for(system, weights)
+    system, merged, algebra = _desk_context(args)
     labels = _parabolic_labels(system, merged)
-    side = merged.get("side") or "left"
-    if side not in ("left", "right"):
-        raise UsageError("--side must be left or right")
+    side = _side(merged, "left", ("left", "right"), "left or right")
     pinv = parabolic_involutions(algebra, labels)
     pair = pinv.extended(side)
     dec = compute_cells(algebra)
@@ -307,15 +307,13 @@ def _cmd_cellmaps(args) -> int:
 
 
 def _cmd_conjectures(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
+    system, merged, algebra = _desk_context(args)
     which = merged.get("check") or "P1,P4,P8,P9"
     if isinstance(which, str):
         which = tuple(x.strip() for x in which.split(",") if x.strip())
     bad = [c for c in which if c not in ("P1", "P4", "P8", "P9")]
     if bad:
         raise UsageError("unsupported conjecture names: %s" % ", ".join(bad))
-    algebra = algebra_for(system, weights)
     table = build_a_table(algebra)
     reports = verify_conjectures(table, which)
     doc = {
@@ -327,9 +325,7 @@ def _cmd_conjectures(args) -> int:
 
 
 def _cmd_cactus_verify(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
-    algebra = algebra_for(system, weights)
+    system, merged, algebra = _desk_context(args)
     action = CactusAction(algebra)
     checks = action.verify_relations()
     doc = {
@@ -351,18 +347,14 @@ def _cmd_cactus_verify(args) -> int:
 
 
 def _cmd_cactus_act(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
+    system, merged, algebra = _desk_context(args)
     if merged.get("word") is None:
         raise UsageError("cactus act needs --word")
     word = parse_word(merged["word"]) if isinstance(merged["word"], str) else tuple(
         tuple(letter) for letter in merged["word"]
     )
-    side = merged.get("side") or "left"
-    if side not in ("left", "right"):
-        raise UsageError("--side must be left or right")
+    side = _side(merged, "left", ("left", "right"), "left or right")
     element_text = merged.get("element") or ""
-    algebra = algebra_for(system, weights)
     action = CactusAction(algebra)
     for letter in word:
         if not action.presentation.is_generator(letter):
@@ -384,12 +376,10 @@ def _cmd_cactus_act(args) -> int:
 
 
 def _cmd_cactus_orbits(args) -> int:
-    system, weights, merged = _load_context(args)
-    _require_desk_scale(system, merged)
-    side = merged.get("side") or "two-sided"
-    if side not in ("left", "right", "two-sided", "two_sided"):
-        raise UsageError("--side must be left, right or two-sided")
-    algebra = algebra_for(system, weights)
+    system, merged, algebra = _desk_context(args)
+    side = _side(
+        merged, "two-sided", ("left", "right", "two-sided", "two_sided"), "left, right or two-sided"
+    )
     action = CactusAction(algebra)
     orbits = action.orbits(side)
     doc = {

@@ -35,9 +35,30 @@ __all__ = [
     "system_from_config",
     "weights_from_config",
     "diagram_automorphisms",
+    "equivalence_classes",
 ]
 
 INFINITE_BOND = 0  # matrix entry encoding m(s,t) = infinity
+
+
+def equivalence_classes(n: int, pairs) -> list[list[int]]:
+    """The classes of range(n) under the equivalence generated by `pairs`,
+    each in ascending order, ordered by their least member."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    classes: dict = {}
+    for a in range(n):
+        classes.setdefault(find(a), []).append(a)
+    return list(classes.values())
 
 
 def _factorial(n: int) -> int:
@@ -211,22 +232,8 @@ class CoxeterSystem:
         return "<CoxeterSystem %s rank=%d>" % (kind or "trivial", self.rank)
 
     def _components(self):
-        seen = [False] * self.rank
-        comps = []
-        for start in range(self.rank):
-            if seen[start]:
-                continue
-            stack, nodes = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                nodes.append(v)
-                for u in range(self.rank):
-                    if not seen[u] and v != u and self.matrix[v][u] != 2:
-                        seen[u] = True
-                        stack.append(u)
-            comps.append(tuple(sorted(nodes)))
-        return comps
+        bonds = ((i, j) for i in range(self.rank) for j in range(i) if self.matrix[i][j] != 2)
+        return [tuple(c) for c in equivalence_classes(self.rank, bonds)]
 
     # -- root reflection table ---------------------------------------------------
 
@@ -502,25 +509,11 @@ class CoxeterElement:
 # -- weight functions ---------------------------------------------------------------
 
 
-def _conjugacy_classes(system: CoxeterSystem) -> list[set[int]]:
+def _conjugacy_classes(system: CoxeterSystem) -> list[list[int]]:
     """Classes of generators under the closure of 'm(s,t) odd'."""
-    parent = list(range(system.rank))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(system.rank):
-        for j in range(i + 1, system.rank):
-            m = system.matrix[i][j]
-            if m != INFINITE_BOND and m % 2 == 1:
-                parent[find(i)] = find(j)
-    classes: dict[int, set[int]] = {}
-    for i in range(system.rank):
-        classes.setdefault(find(i), set()).add(i)
-    return list(classes.values())
+    n, m = system.rank, system.matrix
+    # an infinite bond is the even entry INFINITE_BOND = 0
+    return equivalence_classes(n, ((i, j) for i in range(n) for j in range(i) if m[i][j] % 2))
 
 
 @dataclass(frozen=True)

@@ -630,11 +630,12 @@ _registry_lock = threading.Lock()
 
 
 def algebra_for(system: CoxeterSystem, weights: WeightFunction) -> HeckeAlgebra:
-    """Shared algebra instances so memo tables are reused process-wide."""
-    key = (id(system), weights.values)
+    """Shared algebra instances so memo tables are reused process-wide; keyed
+    by the weights, whose equality compares their system by identity."""
+    if weights.system is not system:
+        raise ValueError("weight function belongs to a different system")
     with _registry_lock:
-        alg = _registry.get(key)
+        alg = _registry.get(weights)
         if alg is None:
-            alg = HeckeAlgebra(system, weights)
-            _registry[key] = alg
+            alg = _registry[weights] = HeckeAlgebra(system, weights)
     return alg

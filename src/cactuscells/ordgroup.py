@@ -195,6 +195,8 @@ def bar_fixed_completion(a: GroupAlgebraElement) -> GroupAlgebraElement:
     """The unique bar-fixed element congruent to ``a`` modulo A_{<0}.
 
     Equals a + mu where mu is the skew split of bar(a) - a; explicitly it is
-    sum_{e <= 0} a_e v^e + sum_{e > 0} a_{-e} v^e.
+    sum_{e >= 0} a_e v^e + sum_{e > 0} a_e v^{-e}, so v + 2v^-1 goes to
+    v + v^-1.  `hecke._left_walk` peels off this completion of each T_z
+    coefficient as its M_z.
     """
     return a + skew_split(a.bar() - a)

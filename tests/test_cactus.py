@@ -4,6 +4,7 @@ import pytest
 
 from cactuscells import get_system
 from cactuscells.cactus import CactusAction, cactus_presentation, parse_word, render_word
+from cactuscells.cellmaps import CellularPair
 from cactuscells.hecke import algebra_for
 from cactuscells import WeightFunction
 
@@ -68,6 +69,32 @@ def test_all_relations_hold(name, spec):
     checks = act.verify_relations()
     bad = [c for c in checks if not c.holds]
     assert not bad, [(c.kind, c.family, c.subsets, c.report.witnesses) for c in bad]
+
+
+def test_relation_failures_are_reported():
+    """A left pair for tau_t that is not an involution fails exactly the
+    relations it enters, each with its witnesses."""
+    t_pair = action("B3", B3_WEIGHTS).pair(("t",), "left")
+    a, b, c = (elem("B3", w).index for w in (["s2"], ["t", "s2"], ["s1", "s2"]))
+    delta = dict(t_pair.delta)
+    delta[a], delta[b], delta[c] = t_pair.delta[b], t_pair.delta[c], t_pair.delta[a]
+    bad = CellularPair("left", delta, t_pair.mu)
+
+    class Corrupted(CactusAction):
+        def pair(self, labels, side):
+            if self.presentation.canonical(labels) == ("t",) and side == "left":
+                return bad
+            return super().pair(labels, side)
+
+    checks = Corrupted(algebra("B3", B3_WEIGHTS)).verify_relations()
+    assert len(checks) == 68
+    failing = [(c.kind, c.family, c.subsets, c.report.witnesses) for c in checks if not c.holds]
+    assert failing == [
+        ("C1", "left", (("t",),), ("s2", "t.s2", "s1.s2")),
+        ("C3", "left", (("t",), ("t", "s1", "s2"), ("t",)), ("s2", "t.s2", "t.s1.s2.s1.t")),
+        ("cross", "both", (("t",), ("s1", "s2")), ("s2", "t.s2", "s1.s2", "s1.t.s2")),
+        ("cross", "both", (("t",), ("t", "s1", "s2")), ("s2", "t.s2", "t.s1.s2.s1.t")),
+    ]
 
 
 def test_act_examples():

@@ -423,7 +423,20 @@ def test_verifiers_detect_corrupted_pairs():
     flipped = dict(pv.sign)
     flipped[s1] = -flipped[s1]
     corrupted = dataclasses.replace(pv, sign=flipped)
-    assert not verify_mixed_basis_sign_identity(corrupted).holds
+    report = verify_mixed_basis_sign_identity(corrupted)
+    assert not report.holds
+    assert report.witnesses == (
+        "(a=1, x=s2.s1, b=s2.s1.t, y=s1)",
+        "(a=t, x=s2.s1, b=s2.s1.t, y=s1)",
+        "(a=1, x=s2.s1, b=t.s2.s1.t, y=s1)",
+        "(a=t, x=s2.s1, b=t.s2.s1.t, y=s1)",
+        "(a=t, x=s2.s1, b=s1.t.s2.s1.t, y=s1)",
+        "(a=s1.t, x=s2.s1, b=s1.t.s2.s1.t, y=s1)",
+        "(a=s2.s1.t, x=s2.s1, b=s1.t.s2.s1.t, y=s1)",
+        "(a=1, x=s2.s1, b=t.s1.t.s2.s1.t, y=s1)",
+        "(a=t, x=s2.s1, b=t.s1.t.s2.s1.t, y=s1)",
+        "(a=s1.t, x=s2.s1, b=t.s1.t.s2.s1.t, y=s1)",
+    )
     # the copy extends its own signs and leaves the algebra's memoized pair alone
     assert corrupted.extended_left().mu[s1] == flipped[s1]
     assert pv.extended_left().mu[s1] == pv.sign[s1]

@@ -214,6 +214,10 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "cactus", "act", "--type", "A3")[0] == 1  # missing --word
     assert run(capsys, "cellmaps", "--type", "A3", "--parabolic", "zz")[0] == 1
     assert run(capsys, "group", "--type", "A3", "--jobs", "0")[0] == 1
+    code, out, err = run(capsys, "cellmaps", "--type", "A3", "--side", "middle")
+    assert (code, out, err) == (1, "", "error: --side must be left or right\n")
+    code, out, err = run(capsys, "cactus", "orbits", "--type", "A3", "--side", "middle")
+    assert (code, out, err) == (1, "", "error: --side must be left, right or two-sided\n")
 
 
 def test_max_length_must_be_a_nonnegative_int(tmp_path, capsys):

@@ -11,7 +11,7 @@ from cactuscells import (
     named_system,
     system_from_config,
 )
-from cactuscells.coxeter import apply_index_map
+from cactuscells.coxeter import apply_index_map, equivalence_classes
 
 from support import elem, system
 
@@ -310,6 +310,20 @@ def test_diagram_automorphisms():
     assert diagram_automorphisms(h3) == [(0, 1, 2)]
     a3 = system("A3")
     assert (2, 1, 0) in diagram_automorphisms(a3, WeightFunction.constant(a3))
+
+
+def test_equivalence_classes():
+    # a chain 1-3-4 given out of order, the singleton 2, a repeated pair 0-5
+    pairs = [(4, 3), (3, 1), (5, 0), (0, 5)]
+    assert equivalence_classes(6, pairs) == [[0, 5], [1, 3, 4], [2]]
+    assert equivalence_classes(3, []) == [[0], [1], [2]]
+    # the infinite bond s-t joins the components; s-u (m = 2) does not
+    rank3 = get_system(((1, 0, 2), (0, 1, 3), (2, 3, 1)), ("s", "t", "u"))
+    assert rank3.components == [((0, 1, 2), None)]
+    assert system("I2(2)").components == [((0,), ("A1", 2)), ((1,), ("A1", 2))]
+    # classes are ordered by their least member
+    a2xa1 = get_system(((1, 2, 3), (2, 1, 2), (3, 2, 1)), ("s", "t", "u"))
+    assert a2xa1.components == [((0, 2), ("A2", 6)), ((1,), ("A1", 2))]
 
 
 def test_weight_validation():

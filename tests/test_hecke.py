@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cactuscells.laurent as L
-from cactuscells import WeightFunction
+from cactuscells import CoxeterSystem, WeightFunction
 from cactuscells.cactus import cactus_presentation
 from cactuscells.cells import compute_cells
 from cactuscells.hecke import ConsistencyError, HeckeAlgebra, algebra_for
@@ -267,6 +267,29 @@ def test_parabolic_kl_restriction(name, spec, labels):
         parent_vec = alg.kl_vec(pdata.to_parent(e))
         mapped = {pdata.to_sub(x): p for x, p in parent_vec.items()}
         assert mapped == sub_alg.kl_vec(e)
+
+
+def test_algebra_registry_is_keyed_by_weights():
+    """Equal weights on one system share one algebra, weights of another
+    system are refused, and equal matrices in distinct systems do not share."""
+    alg = algebra("B3", B3_WEIGHTS)
+    pdata = alg.system.parabolic(("t", "s1"))
+    w1, w2 = alg.weights.restrict(pdata), alg.weights.restrict(pdata)
+    assert w1 is not w2 and w1 == w2
+    sub_alg = algebra_for(pdata.subsystem, w1)
+    assert algebra_for(pdata.subsystem, w2) is sub_alg
+    assert sub_alg.system is pdata.subsystem
+    # w1 is registered, yet it does not serve another system
+    with pytest.raises(ValueError, match="weight function belongs to a different system"):
+        algebra_for(alg.system, w1)
+    with pytest.raises(ValueError, match="weight function belongs to a different system"):
+        algebra_for(pdata.subsystem, alg.weights)
+    a, b = CoxeterSystem(((1, 3), (3, 1))), CoxeterSystem(((1, 3), (3, 1)))
+    alg_a = algebra_for(a, WeightFunction.constant(a))
+    alg_b = algebra_for(b, WeightFunction.constant(b))
+    assert alg_a is not alg_b
+    assert (alg_a.system, alg_b.system) == (a, b)
+    assert algebra_for(a, WeightFunction.constant(a)) is alg_a
 
 
 @pytest.mark.parametrize(
