@@ -308,9 +308,13 @@ def _cmd_cellmaps(args) -> int:
 
 def _cmd_conjectures(args) -> int:
     system, merged, algebra = _desk_context(args)
-    which = merged.get("check") or "P1,P4,P8,P9"
+    which = merged.get("check")
+    if which is None:
+        which = "P1,P4,P8,P9"
     if isinstance(which, str):
         which = tuple(x.strip() for x in which.split(",") if x.strip())
+    if not which:
+        raise UsageError("--check names no conjecture; choose from P1,P4,P8,P9")
     bad = [c for c in which if c not in ("P1", "P4", "P8", "P9")]
     if bad:
         raise UsageError("unsupported conjecture names: %s" % ", ".join(bad))

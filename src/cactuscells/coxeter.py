@@ -558,6 +558,9 @@ class WeightFunction:
 
     @classmethod
     def from_mapping(cls, system: CoxeterSystem, mapping) -> "WeightFunction":
+        for lab in mapping:
+            if lab not in system.index_of:
+                raise ValueError("unknown generator %r in weights" % lab)
         vals = []
         for lab in system.labels:
             if lab not in mapping:

@@ -39,11 +39,13 @@ of x inside W_I.  Its coefficients are Geck's relative Kazhdan-Lusztig
 polynomials (On the induction of Kazhdan-Lusztig cells).
 
 Internally coefficients are the plain dicts of `laurent`; element vectors
-are dicts mapping element ids to coefficient dicts.  All memo tables belong
-to the algebra, including the cells, a-tables and involutions that other
-modules keep in `HeckeAlgebra.memo`; they are lock-protected and immutable
-once inserted, so concurrent readers are safe and results do not depend on
-scheduling.
+are dicts mapping element ids to coefficient dicts.  Every product of
+coefficients accumulates in place through `laurent.add_mul` (`_acc_mul`),
+and the monomial factors v^L(s) and v^-L(s) are one-term dicts stored once
+per generator.  All memo tables belong to the algebra, including the cells,
+a-tables and involutions that other modules keep in `HeckeAlgebra.memo`;
+they are lock-protected and immutable once inserted, so concurrent readers
+are safe and results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -83,6 +85,16 @@ def _acc(vec: dict, w: int, poly: dict) -> None:
         del vec[w]
 
 
+def _acc_mul(vec: dict, w: int, a: dict, b: dict, sign: int = 1) -> None:
+    """In-place vec[w] += sign * a * b, dropping w when its coefficient cancels."""
+    cur = vec.get(w)
+    if cur is None:
+        cur = vec[w] = {}
+    laurent.add_mul(cur, a, b, sign)
+    if not cur:
+        del vec[w]
+
+
 class HeckeAlgebra:
     """H(W, S, phi) with memoized bar, Kazhdan-Lusztig and structure tables."""
 
@@ -94,19 +106,18 @@ class HeckeAlgebra:
         self.rank = weights.rank
         self.group = OrderedAbelianGroup(self.rank)
         self.zero_exp = (0,) * self.rank
+        # the monomials v^L(s) and v^-L(s)
+        self._up = [{weights.of(s): 1} for s in range(system.rank)]
+        self._down = [{tuple(-x for x in weights.of(s)): 1} for s in range(system.rank)]
         # v^L(s) + v^-L(s), the diagonal of C_s C_y for sy < y
-        self._cs_diag = [
-            laurent.add({weights.of(s): 1}, {tuple(-x for x in weights.of(s)): 1})
-            for s in range(system.rank)
-        ]
-        self._xi = [
-            {weights.of(s): 1, tuple(-x for x in weights.of(s)): -1}
-            for s in range(system.rank)
-        ]
+        self._cs_diag = [laurent.add(u, d) for u, d in zip(self._up, self._down)]
+        self._xi = [laurent.sub(u, d) for u, d in zip(self._up, self._down)]
         self._bar: list[dict] = []
         self._kl: list[dict] = []
         self._h: dict = {}
         self._h_complete = False
+        self._right: dict = {}
+        self._gen_ids = [system.id_of_word((s,)) for s in range(system.rank)]
         self._memo: dict = {}
         self._lock = threading.RLock()
 
@@ -124,7 +135,7 @@ class HeckeAlgebra:
     # -- standard-basis plumbing -------------------------------------------------
 
     def gen_id(self, s: int) -> int:
-        return self.system.id_of_word((s,))
+        return self._gen_ids[s]
 
     def unit(self) -> dict:
         return {0: {self.zero_exp: 1}}
@@ -141,7 +152,7 @@ class HeckeAlgebra:
             ws = sys.mult_gen(w, s)
             _acc(res, ws, p)
             if sys.length(ws) < sys.length(w):
-                _acc(res, w, laurent.mul(xi, p))
+                _acc_mul(res, w, xi, p)
         return res
 
     def mul_gen_left(self, s: int, h: dict) -> dict:
@@ -153,7 +164,7 @@ class HeckeAlgebra:
             sw = sys.left_mult_gen(s, w)
             _acc(res, sw, p)
             if sys.length(sw) < sys.length(w):
-                _acc(res, w, laurent.mul(xi, p))
+                _acc_mul(res, w, xi, p)
         return res
 
     def t_mul(self, h1: dict, h2: dict) -> dict:
@@ -165,7 +176,7 @@ class HeckeAlgebra:
             for s in sys.word(w):
                 cur = self.mul_gen_right(cur, s)
             for z, p in cur.items():
-                _acc(res, z, laurent.mul(p, c))
+                _acc_mul(res, z, p, c)
         return res
 
     # -- bar involution -------------------------------------------------------------
@@ -184,7 +195,7 @@ class HeckeAlgebra:
                 vec = self.mul_gen_right(parent, s)
                 xi = self._xi[s]
                 for w, p in parent.items():
-                    _acc(vec, w, laurent.neg(laurent.mul(xi, p)))
+                    _acc_mul(vec, w, xi, p, -1)
                 self._bar.append(vec)
 
     def bar_vec(self, h: dict) -> dict:
@@ -195,7 +206,7 @@ class HeckeAlgebra:
         for w, p in h.items():
             bp = laurent.bar(p)
             for z, q in self._bar[w].items():
-                _acc(res, z, laurent.mul(bp, q))
+                _acc_mul(res, z, bp, q)
         return res
 
     # -- Kazhdan-Lusztig basis ----------------------------------------------------------
@@ -212,9 +223,9 @@ class HeckeAlgebra:
         cy = self.kl_vec(y)
         sy = self.system.left_mult_gen(s, y)
         vec = self.mul_gen_left(s, cy)
-        neg_weight = tuple(-x for x in self.weights.of(s))
+        down = self._down[s]
         for z, p in cy.items():
-            _acc(vec, z, laurent.shift(p, neg_weight))
+            _acc_mul(vec, z, down, p)
         heap = [-z for z in vec if z != sy]
         heapq.heapify(heap)
         ms: dict = {}
@@ -232,12 +243,11 @@ class HeckeAlgebra:
                     if e > zero:
                         m[tuple(-x for x in e)] = c
             ms[z] = m
-            neg_m = laurent.neg(m)
             # C_z lives on ids <= z, so no id above z changes again
             for x, q in self.kl_vec(z).items():
                 if x not in vec:
                     heapq.heappush(heap, -x)
-                _acc(vec, x, laurent.mul(neg_m, q))
+                _acc_mul(vec, x, m, q, -1)
         return vec, ms
 
     def _compute_kl(self, w: int) -> dict:
@@ -277,7 +287,7 @@ class HeckeAlgebra:
             c = dict(rem[x])
             out[x] = c
             for y, p in self.kl_vec(x).items():
-                _acc(rem, y, laurent.neg(laurent.mul(c, p)))
+                _acc_mul(rem, y, c, p, -1)
             if x in rem:
                 raise ConsistencyError("triangular reduction failed at %d" % x)
         return out
@@ -286,7 +296,7 @@ class HeckeAlgebra:
         res: dict = {}
         for x, c in klvec.items():
             for y, p in self.kl_vec(x).items():
-                _acc(res, y, laurent.mul(c, p))
+                _acc_mul(res, y, c, p)
         return res
 
     # -- structure constants -----------------------------------------------------------
@@ -309,11 +319,11 @@ class HeckeAlgebra:
             row = {}
             for u, c in self.h_row(xp, y).items():
                 for z, p in self.cs_left_row(s, u).items():
-                    _acc(row, z, laurent.mul(c, p))
+                    _acc_mul(row, z, c, p)
             for z, m in self.cs_left_row(s, xp).items():
                 if z != x:
                     for w, p in self.h_row(z, y).items():
-                        _acc(row, w, laurent.neg(laurent.mul(m, p)))
+                        _acc_mul(row, w, m, p, -1)
         with self._lock:
             return self._h.setdefault(key, row)
 
@@ -340,12 +350,18 @@ class HeckeAlgebra:
 
     def cs_right_row(self, y: int, s: int) -> dict:
         """C_y C_s in the Kazhdan-Lusztig basis: cs_left_row(s, y^-1) inverted."""
-        inv = self.system.inverse
-        return {inv(z): p for z, p in self.cs_left_row(s, inv(y)).items()}
+        key = (s, y)
+        row = self._right.get(key)
+        if row is None:
+            inv = self.system.inverse
+            row = {inv(z): p for z, p in self.cs_left_row(s, inv(y)).items()}
+            with self._lock:
+                row = self._right.setdefault(key, row)
+        return row
 
     def cs_left_row(self, s: int, y: int) -> dict:
         """C_s C_y in the Kazhdan-Lusztig basis (memo shared with h_row)."""
-        key = (self.gen_id(s), y)
+        key = (self._gen_ids[s], y)
         row = self._h.get(key)
         if row is not None:
             return row
@@ -370,18 +386,24 @@ class HeckeAlgebra:
         basis, for a C-basis vector h and u given by a reduced word.
 
         Each letter applies T_s = C_s - v^-L(s) through the C_s rows, so the
-        product never passes through the standard basis.
+        product never passes through the standard basis.  Only the row of a
+        descent y holds y itself, as C_s C_y = (v^L(s) + v^-L(s)) C_y, and
+        there T_s C_y = v^L(s) C_y.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         letters = tuple(letters)
         for s in reversed(letters) if side == "left" else letters:
-            neg_weight = tuple(-x for x in self.weights.of(s))
+            up, down = self._up[s], self._down[s]
             out: dict = {}
             for y, c in klvec.items():
-                for z, p in self.cs_row(side, s, y).items():
-                    _acc(out, z, laurent.mul(c, p))
-                _acc(out, y, laurent.neg(laurent.shift(c, neg_weight)))
+                row = self.cs_row(side, s, y)
+                if y in row:
+                    _acc_mul(out, y, up, c)
+                    continue
+                for z, p in row.items():
+                    _acc_mul(out, z, c, p)
+                _acc_mul(out, y, down, c, -1)
             klvec = out
         return klvec
 
@@ -573,18 +595,17 @@ def _build_mixed_table(algebra: HeckeAlgebra, pdata: ParabolicData) -> MixedBasi
     columns: dict = {}
 
     def cs_column(s: int, u: int) -> tuple:
-        """C_s T_a C_x for u = a x (Deodhar's lemma): (s u, e, None) when it is
-        T_{sa} C_x + v^e T_a C_x, else (None, None, the row over the basis)."""
+        """C_s T_a C_x for u = a x (Deodhar's lemma): (s u, v^e, None) when it
+        is T_{sa} C_x + v^e T_a C_x, else (None, None, the row over the basis)."""
         key = (s, u)
         col = columns.get(key)
         if col is None:
             a, x = parts[u]
             sa = sys.left_mult_gen(s, a)
-            weight = algebra.weights.of(s)
             if sys.length(sa) < sys.length(a):
-                col = (sys.left_mult_gen(s, u), weight, None)
+                col = (sys.left_mult_gen(s, u), algebra._up[s], None)
             elif parts[sa][1] == 0:
-                col = (sys.left_mult_gen(s, u), tuple(-e for e in weight), None)
+                col = (sys.left_mult_gen(s, u), algebra._down[s], None)
             else:
                 # s a = a t with t in I, so C_s T_a C_x = T_a C_t C_x
                 row = algebra.cs_left_row(sys.word(parts[sa][1])[0], x)
@@ -601,19 +622,18 @@ def _build_mixed_table(algebra: HeckeAlgebra, pdata: ParabolicData) -> MixedBasi
         y = sys.left_mult_gen(s, w)
         out: dict = {}
         for u, c in rows[y].items():
-            su, e, col = cs_column(s, u)
+            su, mono, col = cs_column(s, u)
             if col is None:
                 _acc(out, su, c)
-                _acc(out, u, laurent.shift(c, e))
+                _acc_mul(out, u, mono, c)
             else:
                 for z, p in col.items():
-                    _acc(out, z, laurent.mul(c, p))
+                    _acc_mul(out, z, c, p)
         # C_s C_y = C_w + sum_z M_z C_z
         for z, m in algebra.cs_left_row(s, y).items():
             if z != w:
-                neg_m = laurent.neg(m)
                 for u, p in rows[z].items():
-                    _acc(out, u, laurent.mul(neg_m, p))
+                    _acc_mul(out, u, m, p, -1)
         if out.get(w) != one:
             raise ConsistencyError("mixed-basis diagonal coefficient is not 1 at %d" % w)
         for u, p in out.items():

@@ -5,7 +5,9 @@ stored as a plain dict mapping exponent tuples (length r, ints) to nonzero
 integer coefficients.  The empty dict is zero.  These helpers are the hot path
 for everything downstream (Hecke multiplication, basis conversion), so they
 stay free of any class machinery; `ordgroup.GroupAlgebraElement` provides the
-validated, immutable wrapper.
+validated, immutable wrapper.  The one hot loop is `add_mul`, the in-place
+`acc += sign * a * b`: `mul` is built on it, and every product of the Hecke
+layer accumulates through it.
 
 Exponents compare lexicographically, which Python tuple comparison already
 implements for equal-length int tuples.
@@ -13,6 +15,7 @@ implements for equal-length int tuples.
 
 from __future__ import annotations
 
+from operator import add as _add
 from typing import Iterator
 
 
@@ -106,13 +109,25 @@ def shift(a: dict, exp: tuple) -> dict:
     return {tuple(x + y for x, y in zip(e, exp)): c for e, c in a.items()}
 
 
-def mul(a: dict, b: dict) -> dict:
+def add_mul(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
+    """In-place `acc += sign * a * b`, dropping cancelled terms as `add_term` does."""
     if len(a) > len(b):
         a, b = b, a
-    res: dict = {}
+    get = acc.get
     for ea, ca in a.items():
+        ca *= sign
         for eb, cb in b.items():
-            add_term(res, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            e = tuple(map(_add, ea, eb))
+            c = get(e, 0) + ca * cb
+            if c:
+                acc[e] = c
+            elif e in acc:
+                del acc[e]
+
+
+def mul(a: dict, b: dict) -> dict:
+    res: dict = {}
+    add_mul(res, a, b)
     return res
 
 

@@ -218,6 +218,15 @@ def test_usage_errors_exit_1(capsys):
     assert (code, out, err) == (1, "", "error: --side must be left or right\n")
     code, out, err = run(capsys, "cactus", "orbits", "--type", "A3", "--side", "middle")
     assert (code, out, err) == (1, "", "error: --side must be left, right or two-sided\n")
+    code, out, err = run(capsys, "cells", "--type", "B2", "--weights", "t=1,s1=1,x=3")
+    assert (code, out, err) == (1, "", "error: unknown generator 'x' in weights\n")
+
+
+def test_conjectures_empty_check_list_exits_1(capsys):
+    for check in (",", ""):
+        code, out, err = run(capsys, "conjectures", "--type", "A2", "--check", check)
+        assert (code, out) == (1, "")
+        assert err == "error: --check names no conjecture; choose from P1,P4,P8,P9\n"
 
 
 def test_max_length_must_be_a_nonnegative_int(tmp_path, capsys):

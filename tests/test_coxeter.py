@@ -342,6 +342,9 @@ def test_weight_validation():
     WeightFunction.from_mapping(i4, {"s": (0, 1), "t": (1, 0)})
     with pytest.raises(ValueError):
         WeightFunction.from_mapping(i4, {"s": (0, -1), "t": (1, 0)})
+    # every label must name a generator
+    with pytest.raises(ValueError, match="unknown generator 'x' in weights"):
+        WeightFunction.from_mapping(i4, {"s": 1, "t": 1, "x": 3})
 
 
 def test_element_rendering_round_trip():

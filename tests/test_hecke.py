@@ -11,7 +11,7 @@ import cactuscells.laurent as L
 from cactuscells import CoxeterSystem, WeightFunction
 from cactuscells.cactus import cactus_presentation
 from cactuscells.cells import compute_cells
-from cactuscells.hecke import ConsistencyError, HeckeAlgebra, algebra_for
+from cactuscells.hecke import ConsistencyError, HeckeAlgebra, _acc_mul, algebra_for
 
 from support import (
     UNEQ,
@@ -563,3 +563,38 @@ def test_hecke_element_api():
     back = prod.to_standard()
     assert back == alg.kl_element(st)
     assert (cs + cs) - cs == cs
+
+
+def test_acc_mul_drops_cancelled_ids():
+    vec = {}
+    _acc_mul(vec, 3, {(1,): 1}, {(0,): 2, (-1,): 1})
+    assert vec == {3: {(1,): 2, (0,): 1}}
+    _acc_mul(vec, 3, {(1,): 1}, {(0,): 2}, -1)
+    assert vec == {3: {(0,): 1}}
+    _acc_mul(vec, 3, {(0,): 1}, {(0,): 1}, -1)
+    assert vec == {}
+    _acc_mul(vec, 5, {(1,): 0}, {(0,): 1})
+    assert vec == {}
+
+
+@pytest.mark.parametrize("name,spec", [("A3", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX)])
+def test_vectors_hold_no_empty_coefficient(name, spec):
+    """Every vector the products build, T-basis or C-basis, drops an id whose
+    coefficient cancels."""
+    sysm = system(name)
+    alg = HeckeAlgebra(sysm, weights(name, spec))
+    one = {alg.zero_exp: 1}
+    ids = sysm.all_ids()
+    w0 = sysm.longest_id()
+    vectors = [alg.kl_vec(w) for w in ids]
+    vectors += [alg.bar_vec(alg.kl_vec(w)) for w in ids]
+    vectors += [alg.to_kl(alg.t_mul(alg.kl_vec(w), alg.kl_vec(w0))) for w in ids]
+    vectors += list(alg.full_h_table().values())
+    for g in cactus_presentation(sysm).generators:
+        pdata = sysm.parabolic(g)
+        vectors += list(alg.mixed_basis_table(pdata).rows.values())
+        word = sysm.word(pdata.longest)
+        for y in ids:
+            for side in ("left", "right"):
+                vectors.append(alg.t_word_kl(side, word, {y: one}))
+    assert all(all(p and 0 not in p.values() for p in vec.values()) for vec in vectors)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from cactuscells import laurent
 from cactuscells.ordgroup import (
     NEG_INF,
     POS_INF,
@@ -133,6 +134,50 @@ def test_bar_fixed_completion_matches_symmetrization(a):
             if e > (0,):
                 explicit[tuple(-x for x in e)] = c
     assert m == GroupAlgebraElement(Z1, explicit)
+
+
+def naive_mul(a, b):
+    """The product term by term through `add_term`, exponents by `zip`."""
+    res = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            laurent.add_term(res, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return res
+
+
+def raw(rank, coefficients=coeffs):
+    return st.dictionaries(st.tuples(*[exps] * rank), coefficients, max_size=6)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@given(data=st.data())
+def test_add_mul_matches_naive_product(rank, data):
+    # the inputs may hold zero coefficients; the accumulator never does
+    a, b = data.draw(raw(rank)), data.draw(raw(rank))
+    acc = data.draw(raw(rank, coeffs.filter(bool)))
+    sign = data.draw(st.sampled_from((1, -1)))
+    expected = laurent.add(acc, laurent.scale(naive_mul(a, b), sign))
+    laurent.add_mul(acc, a, b, sign)
+    assert acc == expected and 0 not in acc.values()
+    assert laurent.mul(a, b) == naive_mul(a, b)
+    # a product taken back out cancels to zero
+    acc = laurent.mul(a, b)
+    laurent.add_mul(acc, b, a, -1)
+    assert acc == {}
+
+
+def test_add_mul_examples():
+    acc = {(0,): 1}
+    laurent.add_mul(acc, {(1,): 0}, {(-1,): 5})
+    assert acc == {(0,): 1}
+    acc = {}
+    laurent.add_mul(acc, {(1,): 0, (0,): 0}, {(2,): 3})
+    assert acc == {}
+    laurent.add_mul(acc, {(1,): 1, (-1,): 1}, {(1,): 1, (-1,): -1})
+    assert acc == {(2,): 1, (-2,): -1}
+    laurent.add_mul(acc, {(1,): 1}, {(1,): 1, (-3,): -1}, -1)
+    assert acc == {}
+    assert laurent.mul({(1,): 1}, {}) == {}
 
 
 @given(elements(Z2))
