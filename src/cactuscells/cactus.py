@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cells import CheckReport, MAX_WITNESSES
+from .cells import CheckReport
 from .cellmaps import CellularPair, ParabolicInvolutions, parabolic_involutions
 from .coxeter import CoxeterSystem, equivalence_classes
 from .hecke import HeckeAlgebra
@@ -175,10 +175,8 @@ class CactusAction:
         out = []
 
         def check(kind, family, subsets, f, g, h, k):
-            wit = tuple(
-                sys.element(w).render() or "1" for w in ids if f[g[w]] != h[k[w]]
-            )[:MAX_WITNESSES]
-            out.append(RelationCheck(kind, family, subsets, CheckReport(kind, not wit, wit)))
+            wit = [sys.element(w).render() or "1" for w in ids if f[g[w]] != h[k[w]]]
+            out.append(RelationCheck(kind, family, subsets, CheckReport.of(kind, wit)))
 
         for side in ("left", "right"):
             for g in pres.generators:

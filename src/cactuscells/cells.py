@@ -20,6 +20,7 @@ check is a result, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import laurent
 from .hecke import HeckeAlgebra
@@ -49,15 +50,17 @@ class CheckReport:
     def __bool__(self) -> bool:
         return self.holds
 
-    def describe(self) -> str:
-        if self.holds:
-            return "%s: holds" % self.name
-        shown = "; ".join(str(w) for w in self.witnesses)
-        return "%s: FAILS (%s)" % (self.name, shown)
+    @classmethod
+    def of(cls, name: str, witnesses) -> "CheckReport":
+        """The report that holds iff `witnesses` is empty, keeping the first
+        MAX_WITNESSES of them in the order given."""
+        kept = tuple(islice(witnesses, MAX_WITNESSES))
+        return cls(name, not kept, kept)
 
 
 def _strongly_connected_components(n: int, adj: list[set]) -> list[list[int]]:
-    """Iterative Tarjan; components are returned in reverse topological order."""
+    """Iterative Tarjan; components are returned in reverse topological order,
+    each after every component it reaches."""
     index = [0] * n
     low = [0] * n
     state = [0] * n  # 0 unvisited, 1 on stack, 2 done
@@ -67,7 +70,7 @@ def _strongly_connected_components(n: int, adj: list[set]) -> list[list[int]]:
     for root in range(n):
         if state[root]:
             continue
-        work = [(root, iter(sorted(adj[root])))]
+        work = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         state[root] = 1
@@ -81,7 +84,7 @@ def _strongly_connected_components(n: int, adj: list[set]) -> list[list[int]]:
                     counter += 1
                     state[u] = 1
                     comp_stack.append(u)
-                    work.append((u, iter(sorted(adj[u]))))
+                    work.append((u, iter(adj[u])))
                     advanced = True
                     break
                 if state[u] == 1:
@@ -113,9 +116,6 @@ class CellPartition:
     cell_of: tuple[int, ...]
     below: tuple[frozenset, ...]  # per cell: ids of cells <= it (including itself)
 
-    def cell_id(self, w: int) -> int:
-        return self.cell_of[w]
-
     def members(self, cell: int) -> frozenset:
         return self.cells[cell]
 
@@ -128,9 +128,6 @@ class CellPartition:
 
     def less(self, x: int, y: int) -> bool:
         return self.cell_of[x] != self.cell_of[y] and self.leq(x, y)
-
-    def cell_leq(self, a: int, b: int) -> bool:
-        return a in self.below[b]
 
     def cover_edges(self) -> list[tuple[int, int]]:
         """Hasse edges (a, b) with a < b, for rendering the condensation."""
@@ -152,32 +149,28 @@ class CellPartition:
 
 
 def _partition_from_edges(side: str, n: int, adj: list[set]) -> CellPartition:
+    """Cells and preorder of the edge relation y -> z for z in adj[y].
+
+    Cells are numbered by their least member.  Tarjan emits each component
+    after every component it reaches, so one pass in emission order folds the
+    preorder: a cell's `below` is itself plus the `below` of each cell one
+    of its edges leads to.
+    """
     comps = _strongly_connected_components(n, adj)
-    comps = sorted((sorted(c) for c in comps), key=lambda c: c[0])
+    cells = sorted(comps, key=min)
     cell_of = [0] * n
-    for i, comp in enumerate(comps):
+    for i, comp in enumerate(cells):
         for w in comp:
             cell_of[w] = i
-    k = len(comps)
-    cadj: list[set] = [set() for _ in range(k)]
-    for y in range(n):
-        for z in adj[y]:
-            if cell_of[z] != cell_of[y]:
-                cadj[cell_of[y]].add(cell_of[z])
-    below = []
-    for c in range(k):
-        seen = {c}
-        stack = [c]
-        while stack:
-            v = stack.pop()
-            for u in cadj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        below.append(frozenset(seen))
+    below: list = [None] * len(cells)
+    for comp in comps:
+        c = cell_of[comp[0]]
+        reached = {cell_of[z] for y in comp for z in adj[y]}
+        reached.discard(c)
+        below[c] = frozenset({c}.union(*(below[d] for d in reached)))
     return CellPartition(
         side=side,
-        cells=tuple(frozenset(c) for c in comps),
+        cells=tuple(frozenset(c) for c in cells),
         cell_of=tuple(cell_of),
         below=tuple(below),
     )
@@ -190,11 +183,11 @@ class CellDecomposition:
     two_sided: CellPartition
 
     def partition(self, side: str) -> CellPartition:
-        if side in ("left", "L"):
+        if side == "left":
             return self.left
-        if side in ("right", "R"):
+        if side == "right":
             return self.right
-        if side in ("two_sided", "two-sided", "LR"):
+        if side == "two_sided":
             return self.two_sided
         raise ValueError("unknown side %r" % side)
 
@@ -283,7 +276,7 @@ def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
             )
     if bad:
         dmap = None
-    report = CheckReport("unique-duflo-per-left-cell", not bad, tuple(bad[:MAX_WITNESSES]))
+    report = CheckReport.of("unique-duflo-per-left-cell", bad)
     return AFunctionTable(
         algebra=algebra,
         cells=cells,
@@ -310,7 +303,7 @@ def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) ->
         for z in ids:
             if table.delta[z] is None or not table.a[z] <= table.delta[z]:
                 wit.append("a(%s) > Delta(%s)" % (render(z), render(z)))
-        out["P1"] = CheckReport("P1", not wit, tuple(sorted(wit)[:MAX_WITNESSES]))
+        out["P1"] = CheckReport.of("P1", sorted(wit))
 
     if "P4" in which:
         wit = []
@@ -318,7 +311,7 @@ def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) ->
             for zp in ids:
                 if cells.two_sided.leq(zp, z) and not table.a[zp] >= table.a[z]:
                     wit.append("%s <=_LR %s but a drops" % (render(zp), render(z)))
-        out["P4"] = CheckReport("P4", not wit, tuple(sorted(wit)[:MAX_WITNESSES]))
+        out["P4"] = CheckReport.of("P4", sorted(wit))
 
     if "P8" in which:
         wit = []
@@ -336,7 +329,7 @@ def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) ->
                             "gamma(%s,%s,%s) != 0 off the cell triangle"
                             % (render(x), render(y), render(z))
                         )
-        out["P8"] = CheckReport("P8", not wit, tuple(sorted(wit)[:MAX_WITNESSES]))
+        out["P8"] = CheckReport.of("P8", sorted(wit))
 
     if "P9" in which:
         wit = []
@@ -348,7 +341,7 @@ def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) ->
                     and not cells.left.same_cell(zp, z)
                 ):
                     wit.append("%s <=_L %s, equal a, different cells" % (render(zp), render(z)))
-        out["P9"] = CheckReport("P9", not wit, tuple(sorted(wit)[:MAX_WITNESSES]))
+        out["P9"] = CheckReport.of("P9", sorted(wit))
 
     return out
 

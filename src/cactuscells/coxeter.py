@@ -548,13 +548,10 @@ class WeightFunction:
     def of(self, s: int) -> tuple[int, ...]:
         return self.values[s]
 
-    def of_label(self, label: str) -> tuple[int, ...]:
-        return self.values[self.system.index_of[label]]
-
     @classmethod
-    def constant(cls, system: CoxeterSystem, value: int = 1, rank: int = 1) -> "WeightFunction":
-        vec = tuple(value if i == 0 else 0 for i in range(rank))
-        return cls(system, tuple(vec for _ in range(system.rank)))
+    def constant(cls, system: CoxeterSystem) -> "WeightFunction":
+        """Equal parameters: weight 1 on every generator."""
+        return cls(system, ((1,),) * system.rank)
 
     @classmethod
     def from_mapping(cls, system: CoxeterSystem, mapping) -> "WeightFunction":

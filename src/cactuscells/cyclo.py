@@ -82,9 +82,6 @@ class CyclotomicIntegers:
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x - y for x, y in zip(a, b))
-
     def neg(self, a: tuple) -> tuple:
         return tuple(-x for x in a)
 
@@ -97,9 +94,6 @@ class CyclotomicIntegers:
                     if y:
                         conv[i + j] += x * y
         return self._from_poly(conv)
-
-    def scale(self, a: tuple, c: int) -> tuple:
-        return tuple(c * x for x in a)
 
 
 class CosineRing:

@@ -345,8 +345,12 @@ class HeckeAlgebra:
         return self._h
 
     def cs_row(self, side: str, s: int, y: int) -> dict:
-        """C_s C_y (side "left") or C_y C_s (otherwise) in the Kazhdan-Lusztig basis."""
-        return self.cs_left_row(s, y) if side == "left" else self.cs_right_row(y, s)
+        """C_s C_y (side "left") or C_y C_s (side "right") in the Kazhdan-Lusztig basis."""
+        if side == "left":
+            return self.cs_left_row(s, y)
+        if side == "right":
+            return self.cs_right_row(y, s)
+        raise ValueError("side must be 'left' or 'right'")
 
     def cs_right_row(self, y: int, s: int) -> dict:
         """C_y C_s in the Kazhdan-Lusztig basis: cs_left_row(s, y^-1) inverted."""
@@ -424,10 +428,6 @@ class HeckeAlgebra:
             p = c.terms if isinstance(c, GroupAlgebraElement) else dict(c)
             _acc(vec, wid, p)
         return HeckeElement(self, basis, vec)
-
-    def t_element(self, w) -> "HeckeElement":
-        wid = w.index if isinstance(w, CoxeterElement) else int(w)
-        return HeckeElement(self, "T", self.t_of(wid))
 
     def kl_element(self, w) -> "HeckeElement":
         """C_w, expanded in the standard basis."""

@@ -59,9 +59,6 @@ class OrderedAbelianGroup:
             raise ValueError("expected %d components, got %r" % (self.rank, value))
         return exp
 
-    def is_positive(self, value) -> bool:
-        return self.element(value) > self.zero
-
 
 class GroupAlgebraElement:
     """A finitely supported integer combination of symbols v^e, e in Z^rank."""

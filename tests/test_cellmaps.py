@@ -289,6 +289,20 @@ def test_violation_has_witness_payload():
     assert err.witness["element"] == "s"
 
 
+def test_extraction_failure_reports_renormalised_remainder():
+    # a fresh algebra, so no shared memo sees the doubled products
+    alg = HeckeAlgebra(system("A2"), weights("A2"))
+    t_word_kl = alg.t_word_kl
+    alg.t_word_kl = lambda side, letters, klvec: {
+        z: {e: 2 * c for e, c in p.items()} for z, p in t_word_kl(side, letters, klvec).items()
+    }
+    with pytest.raises(TheoremViolationError, match="not a signed basis element") as err:
+        longest_element_involutions(alg)
+    witness = err.value.witness
+    assert witness["element"] == ""
+    assert witness["remainder"] in ({"": "2*v^(0)"}, {"": "-2*v^(0)"})
+
+
 # -- Geck sign identity (Cor 3.5-type) ---------------------------------------------------------
 
 
@@ -454,6 +468,15 @@ def test_conjecture_checker_detects_failures():
     reports = verify_conjectures(broken, ("P1", "P4"))
     assert not reports["P1"].holds and reports["P1"].witnesses
     assert not reports["P4"].holds
+    # a failing P-check sorts all its witnesses, then keeps the first 10
+    table = a_table("A3")
+    render = lambda w: table.algebra.system.element(w).render() or "1"
+    wrong_a = list(table.a)
+    wrong_a[0] = (99,)  # every other element lies below 1 with a smaller a
+    p4 = verify_conjectures(dataclasses.replace(table, a=tuple(wrong_a)), ("P4",))["P4"]
+    found = ["%s <=_LR 1 but a drops" % render(w) for w in table.algebra.system.all_ids()[1:]]
+    assert found != sorted(found)
+    assert p4.witnesses == tuple(sorted(found)[:10])
 
 
 # -- equivariance under diagram automorphisms ----------------------------------------------------

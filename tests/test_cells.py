@@ -2,11 +2,12 @@
 
 import pytest
 
-from cactuscells.cells import cell_module_constants, verify_conjectures
+from cactuscells.cells import CheckReport, cell_module_constants, verify_conjectures
 
 from support import (
     UNEQ,
     UNEQ_REV,
+    B3_LEX,
     B3_WEIGHTS,
     a_table,
     algebra,
@@ -225,6 +226,58 @@ def test_generator_multiplications_generate_the_preorder(name):
         for y in sysm.all_ids():
             for z in sysm.all_ids():
                 assert (z in reach[y]) == part.leq(z, y)
+
+
+def _cs_row_reach(alg, sides):
+    """Reflexive-transitive closure, by BFS, of the edges y -> z for z in a
+    C_s row of y on any of the given sides."""
+    sysm = alg.system
+    reach = {}
+    for y in sysm.all_ids():
+        seen = {y}
+        frontier = [y]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for side in sides:
+                    for s in range(sysm.rank):
+                        for z in alg.cs_row(side, s, v):
+                            if z not in seen:
+                                seen.add(z)
+                                nxt.append(z)
+            frontier = nxt
+        reach[y] = seen
+    return reach
+
+
+@pytest.mark.parametrize(
+    "name,spec",
+    [("A3", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX), ("H3", None), ("D4", None)],
+    ids=["A3", "B3-t2", "B3-lex", "H3", "D4"],
+)
+def test_preorders_are_cs_row_reachability(name, spec):
+    alg = algebra(name, spec)
+    dec = cells(name, spec)
+    ids = alg.system.all_ids()
+    for part, sides in (
+        (dec.left, ("left",)),
+        (dec.right, ("right",)),
+        (dec.two_sided, ("left", "right")),
+    ):
+        reach = _cs_row_reach(alg, sides)
+        for y in ids:
+            assert {z for z in ids if part.leq(z, y)} == reach[y], (part.side, y)
+
+
+def test_check_report_of():
+    assert CheckReport.of("empty", []) == CheckReport("empty", True, ())
+    wit = ["w%02d" % i for i in reversed(range(25))]
+    report = CheckReport.of("many", wit)
+    assert not report.holds
+    assert report.witnesses == tuple(wit[:10])
+    assert CheckReport.of("lazy", iter(wit)).witnesses == report.witnesses
+    few = CheckReport.of("few", ("b", "a"))
+    assert not few and few.witnesses == ("b", "a")
 
 
 def test_cell_module_constants_examples():

@@ -464,6 +464,9 @@ def test_cs_rows_match_standard_basis_products(name, spec):
         assert right == _cs_row_oracle(alg, s, y, "right")
         assert alg.cs_row("left", s, y) == left
         assert alg.cs_row("right", s, y) == right
+    for side in ("L", "R", "two_sided"):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            alg.cs_row(side, 0, 0)
 
 
 def _t_word_oracle(alg, side, letters, y):
