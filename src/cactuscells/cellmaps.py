@@ -7,10 +7,16 @@ terms, a single Kazhdan-Lusztig element with coefficient +-1.  This yields
 two involutions of W_I (one from each side) sharing one sign map; extending
 through the minimal coset representatives gives a permutation of all of W
 together with its sign.  These extended pairs are the generators of the
-cactus group action.  Every product by T_{w_I} is taken in the C basis by
-`HeckeAlgebra.t_word_kl`, and the involutions are memoized on the algebra,
-each with its extended pairs: `ParabolicInvolutions.extended(side)` is the
-one place that picks the left or the right extension by side.
+cactus group action.  One class, `ParabolicInvolutions`, holds them for
+every finite W_I, the whole group I = S included (that case is
+`longest_element_involutions`), together with alpha of W_I on its ids in W,
+the cells of W_I and its P-checks.  Every product by T_{w_I} is taken in the
+C basis by `HeckeAlgebra.t_word_kl`, and one reader,
+`_extract_signed_element`, finds the surviving signed basis element, both
+when the involutions are built and when the characterization is checked.
+The involutions are memoized on the algebra, each with its extended pairs:
+`ParabolicInvolutions.extended(side)` is the one place that picks the left
+or the right extension by side.
 
 A pair (delta, mu) of a permutation of W and a sign map is *left cellular*
 when delta permutes the left cells and c_w -> mu_w c_{delta(w)} intertwines
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field
 
 from . import laurent
 from .cells import (
-    AFunctionTable,
     CellDecomposition,
     CheckReport,
     build_a_table,
@@ -43,7 +48,6 @@ from .hecke import HeckeAlgebra, algebra_for
 __all__ = [
     "TheoremViolationError",
     "CellularPair",
-    "LongestElementInvolutions",
     "ParabolicInvolutions",
     "longest_element_involutions",
     "parabolic_involutions",
@@ -83,35 +87,18 @@ class CellularPair:
         return cls(side, {w: w for w in ids}, {w: 1 for w in ids})
 
 
-@dataclass
-class LongestElementInvolutions:
-    """The involutions and sign map of one finite (W, S, phi)."""
-
-    algebra: HeckeAlgebra
-    table: AFunctionTable
-    cells: CellDecomposition
-    left_map: dict  # from right multiplication by T_{w_0}; strongly left cellular
-    right_map: dict  # from left multiplication by T_{w_0}; strongly right cellular
-    sign: dict
-    hypotheses: dict
-    hypotheses_hold: bool
-
-
 def _render(algebra: HeckeAlgebra, w: int) -> str:
     return algebra.system.element(w).render() or "1"
 
 
-def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, part, alpha) -> tuple[int, int]:
-    """The (z, +-1) with v^alpha klvec = +-C_z modulo the C_u with u strictly
-    below w in `part`.
+def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, below, alpha) -> tuple[int, int]:
+    """The (z, +-1) with v^alpha klvec = +-C_z modulo the C_u with below(u).
 
     klvec is the unrenormalised product, so the one surviving coefficient is
     compared with +-v^-alpha in place; the failure witness renders the
     remainder renormalised by v^alpha.
     """
-    remainder = {
-        z: p for z, p in klvec.items() if p and not part.less(z, w)
-    }
+    remainder = {z: p for z, p in klvec.items() if p and not below(z)}
     neg_alpha = tuple(-x for x in alpha)
     if len(remainder) == 1:
         (z, p), = remainder.items()
@@ -132,22 +119,21 @@ def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, part, al
     )
 
 
-def longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolutions:
-    """Both involutions of W induced by w_0, with their common sign map."""
+def longest_element_involutions(algebra: HeckeAlgebra) -> ParabolicInvolutions:
+    """Both involutions of W induced by w_0, with their common sign map: the
+    parabolic involutions of I = S, computed in this algebra itself."""
     return algebra.memo("involutions", lambda: _longest_element_involutions(algebra))
 
 
-def _longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolutions:
+def _longest_element_involutions(algebra: HeckeAlgebra) -> ParabolicInvolutions:
     sys = algebra.system
     if not sys.is_finite:
         raise ValueError("longest-element involutions need a finite group")
+    pdata = sys.parabolic(sys.labels)
     table = build_a_table(algebra)
     cells = table.cells
-    hypotheses = verify_conjectures(table)
-    hypotheses_hold = all(r.holds for r in hypotheses.values())
 
-    w0 = sys.longest_id()
-    w0_word = sys.word(w0)
+    w0_word = sys.word(pdata.longest)
     right_map: dict = {}
     left_map: dict = {}
     sign: dict = {}
@@ -157,7 +143,9 @@ def _longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolut
         # T_{w_0} C_w gives the right map and C_w T_{w_0} the left one
         for side, image in (("left", right_map), ("right", left_map)):
             vec = algebra.t_word_kl(side, w0_word, {w: one})
-            image[w], eps = _extract_signed_element(algebra, vec, w, part, table.alpha[w])
+            image[w], eps = _extract_signed_element(
+                algebra, vec, w, lambda z: part.less(z, w), table.alpha[w]
+            )
             if sign.setdefault(w, eps) != eps:
                 raise TheoremViolationError(
                     "the two sign maps disagree at %r" % _render(algebra, w)
@@ -169,7 +157,7 @@ def _longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolut
             right_map[right_map[w]] == w,
             left_map[left_map[w]] == w,
             left_map[w] == inv(right_map[inv(w)]),
-            right_map[w] == left_map[sys.multiply(sys.multiply(w0, w), w0)],
+            right_map[w] == left_map[pdata.omega(w)],
             cells.left.same_cell(right_map[w], w),
             cells.right.same_cell(left_map[w], w),
         )
@@ -179,43 +167,36 @@ def _longest_element_involutions(algebra: HeckeAlgebra) -> LongestElementInvolut
                 witness={"checks": checks},
             )
 
-    return LongestElementInvolutions(
+    return ParabolicInvolutions(
         algebra=algebra,
-        table=table,
-        cells=cells,
+        pdata=pdata,
         left_map=left_map,
         right_map=right_map,
         sign=sign,
-        hypotheses=hypotheses,
-        hypotheses_hold=hypotheses_hold,
+        alpha=dict(enumerate(table.alpha)),
+        cells=cells,
+        hypotheses=verify_conjectures(table),
     )
 
 
 @dataclass
 class ParabolicInvolutions:
-    """The W_I-involutions transported into W, with their coset extensions."""
+    """The involutions and sign map of one finite W_I, on its ids in W, with
+    their coset extensions to all of W; I = S is the longest-element case."""
 
     algebra: HeckeAlgebra  # the ambient algebra H(W, S, phi)
     pdata: ParabolicData
-    core: LongestElementInvolutions  # computed in the standalone subsystem
-    left_map: dict  # on parent ids of W_I
-    right_map: dict
+    left_map: dict  # from right multiplication by T_{w_I}; strongly left cellular
+    right_map: dict  # from left multiplication by T_{w_I}; strongly right cellular
     sign: dict
+    alpha: dict  # alpha of the subsystem W_I, keyed by the ids of W_I in W
+    cells: CellDecomposition  # the cells of W_I, on its own ids
+    hypotheses: dict  # P1, P4, P8, P9 for W_I
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hypotheses_hold(self) -> bool:
-        return self.core.hypotheses_hold
-
-    @property
-    def hypotheses(self) -> dict:
-        return self.core.hypotheses
-
-    def alpha_value(self, u: int) -> tuple:
-        return self.core.table.alpha[self.pdata.to_sub(u)]
-
-    def sub_cells(self) -> CellDecomposition:
-        return self.core.cells
+        return all(r.holds for r in self.hypotheses.values())
 
     def extended(self, side: str) -> CellularPair:
         """The coset extension on the given side ("left" or "right").
@@ -254,19 +235,17 @@ def parabolic_involutions(algebra: HeckeAlgebra, labels) -> ParabolicInvolutions
 def _parabolic_involutions(algebra: HeckeAlgebra, pdata: ParabolicData) -> ParabolicInvolutions:
     if not pdata.is_finite:
         raise ValueError("W_I must be finite")
-    sub_algebra = algebra_for(pdata.subsystem, algebra.weights.restrict(pdata))
-    core = longest_element_involutions(sub_algebra)
-    to_parent = pdata.to_parent
-    left_map = {to_parent(e): to_parent(core.left_map[e]) for e in range(pdata.subsystem.size())}
-    right_map = {to_parent(e): to_parent(core.right_map[e]) for e in range(pdata.subsystem.size())}
-    sign = {to_parent(e): core.sign[e] for e in range(pdata.subsystem.size())}
+    sub = longest_element_involutions(algebra_for(pdata.subsystem, algebra.weights.restrict(pdata)))
+    up = pdata.to_parent
     return ParabolicInvolutions(
         algebra=algebra,
         pdata=pdata,
-        core=core,
-        left_map=left_map,
-        right_map=right_map,
-        sign=sign,
+        left_map={up(e): up(d) for e, d in sub.left_map.items()},
+        right_map={up(e): up(d) for e, d in sub.right_map.items()},
+        sign={up(e): eps for e, eps in sub.sign.items()},
+        alpha={up(e): a for e, a in sub.alpha.items()},
+        cells=sub.cells,
+        hypotheses=sub.hypotheses,
     )
 
 
@@ -335,7 +314,7 @@ def verify_mixed_basis_sign_identity(pinv: ParabolicInvolutions) -> CheckReport:
     algebra = pinv.algebra
     pdata = pinv.pdata
     table = algebra.mixed_basis_table(pdata)
-    sub_left = pinv.sub_cells().left
+    sub_left = pinv.cells.left
     to_sub = pdata.to_sub
     members = list(pdata.elements)
     reps = list(pdata.min_reps)
@@ -382,7 +361,7 @@ def _characterization(pinv: ParabolicInvolutions, side: str) -> CheckReport:
     sys = algebra.system
     pdata = pinv.pdata
     wI_word = sys.word(pdata.longest)
-    part = pinv.sub_cells().partition(side)
+    part = pinv.cells.partition(side)
     to_sub = pdata.to_sub
     pair = pinv.extended(side)
     ids = sys.all_ids()
@@ -396,16 +375,14 @@ def _characterization(pinv: ParabolicInvolutions, side: str) -> CheckReport:
         omega_y = to_sub(pdata.omega(y))
         # C_w T_{w_I} (or T_{w_I} C_w) is +-v^-alpha C_target modulo lower terms
         klc = algebra.t_word_kl(t_side, wI_word, {w: one})
-        target = pair.delta[w]
-        expected = {tuple(-x for x in pinv.alpha_value(y)): pair.mu[w]}
-        for z, p in klc.items():
-            if z != target or p != expected:
-                if not part.less(to_sub(pr[z]), omega_y):
-                    wit.append(_render(algebra, w))
-                    break
-        else:
-            if target not in klc:
-                wit.append("%s (target missing)" % _render(algebra, w))
+        try:
+            found = _extract_signed_element(
+                algebra, klc, w, lambda z: part.less(to_sub(pr[z]), omega_y), pinv.alpha[y]
+            )
+        except TheoremViolationError:
+            found = None
+        if found != (pair.delta[w], pair.mu[w]):
+            wit.append(_render(algebra, w))
     return CheckReport.of("characterization-" + side, wit)
 
 

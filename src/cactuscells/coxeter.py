@@ -451,7 +451,10 @@ class CoxeterSystem:
         return CoxeterElement(self, self.longest_id())
 
     def parabolic(self, labels) -> "ParabolicData":
-        indices = tuple(sorted(self.index_of[str(x)] for x in labels))
+        try:
+            indices = tuple(sorted(self.index_of[str(x)] for x in labels))
+        except KeyError as exc:
+            raise ValueError("unknown generator %r in parabolic subset" % exc.args[0]) from None
         if len(set(indices)) != len(indices):
             raise ValueError("repeated generators in parabolic subset")
         with self._lock:

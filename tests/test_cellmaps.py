@@ -3,6 +3,7 @@ induction, characterization, commutation, signs, equivariance, degree bounds."""
 
 import gc
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from cactuscells import diagram_automorphisms
 from cactuscells.cactus import CactusAction, cactus_presentation
 from cactuscells.cellmaps import (
     CellularPair,
+    ParabolicInvolutions,
     TheoremViolationError,
     degree_bounds_report,
     longest_element_involutions,
@@ -22,7 +24,7 @@ from cactuscells.cellmaps import (
 )
 from cactuscells.cells import build_a_table, compute_cells
 from cactuscells.coxeter import apply_index_map
-from cactuscells.hecke import HeckeAlgebra
+from cactuscells.hecke import HeckeAlgebra, algebra_for
 
 from support import (
     UNEQ,
@@ -194,6 +196,26 @@ def test_extension_with_full_subset_is_core_map():
     assert pair.delta == inv.left_map and pair.mu == inv.sign
 
 
+@pytest.mark.parametrize("name,spec", [("A3", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX)])
+def test_longest_element_involutions_are_the_parabolic_of_s(name, spec):
+    alg = algebra(name, spec)
+    inv = longest_element_involutions(alg)
+    assert isinstance(inv, ParabolicInvolutions) and inv.algebra is alg
+    pv = parabolic_involutions(alg, alg.system.labels)
+    for attr in ("left_map", "right_map", "sign", "alpha", "hypotheses_hold"):
+        assert getattr(inv, attr) == getattr(pv, attr), attr
+    with pytest.raises(ValueError, match="unknown generator 'zz'"):
+        parabolic_involutions(alg, ("zz",))
+    # every W_I carries the alpha of its own subsystem, on its ids in W
+    labels = alg.system.labels
+    for size in range(len(labels) + 1):
+        for subset in combinations(labels, size):
+            pv = parabolic_involutions(alg, subset)
+            pdata = pv.pdata
+            sub_alpha = build_a_table(algebra_for(pdata.subsystem, alg.weights.restrict(pdata))).alpha
+            assert pv.alpha == {pdata.to_parent(e): a for e, a in enumerate(sub_alpha)}, subset
+
+
 def test_extension_on_minimal_representatives():
     # for w in X_I: lambda_I^L(w) = w with sign (-1)^{l(w_I)}
     name, spec = "B3", B3_WEIGHTS
@@ -314,7 +336,6 @@ def test_mixed_basis_sign_identity_all_parabolics(name, spec):
     alg = algebra(name, spec)
     sysm = alg.system
     labels = sysm.labels
-    from itertools import combinations
 
     for size in range(0, len(labels) + 1):
         for subset in combinations(labels, size):
@@ -342,6 +363,26 @@ def test_characterization_congruences(name, spec, labels):
     reports = verify_characterization(pv)
     assert reports["left"].holds, reports["left"].witnesses
     assert reports["right"].holds, reports["right"].witnesses
+
+
+def test_characterization_detects_a_flipped_sign():
+    # flipping the sign at s1 changes the extended sign on every w whose
+    # W_I-part is s1, so both sides report exactly those eight elements
+    import dataclasses
+
+    pv = pinv("B3", ("s1", "s2"), B3_WEIGHTS)
+    s1 = system("B3").from_word(["s1"]).index
+    corrupted = dataclasses.replace(pv, sign={**pv.sign, s1: -pv.sign[s1]})
+    reports = verify_characterization(corrupted)
+    assert not reports["left"].holds and not reports["right"].holds
+    assert reports["left"].witnesses == (
+        "s1", "t.s1", "s1.t.s1", "t.s1.t.s1", "s2.s1.t.s1", "t.s2.s1.t.s1",
+        "s1.t.s2.s1.t.s1", "t.s1.t.s2.s1.t.s1",
+    )
+    assert reports["right"].witnesses == (
+        "s1", "s1.t", "s1.t.s1", "t.s1.t.s1", "s1.t.s1.s2", "t.s1.t.s1.s2",
+        "t.s1.t.s1.s2.s1", "t.s1.t.s1.s2.s1.t",
+    )
 
 
 # -- commutation (strongly cellular pairs vs opposite extensions) -------------------------------

@@ -213,6 +213,16 @@ def test_min_reps_characterization():
         assert set(pdata.min_reps) == expected
 
 
+def test_parabolic_rejects_unknown_and_repeated_generators():
+    sysm = system("B3")
+    with pytest.raises(ValueError, match="^unknown generator 'zz' in parabolic subset$"):
+        sysm.parabolic(["zz"])
+    with pytest.raises(ValueError, match="^unknown generator 'zz' in parabolic subset$"):
+        sysm.parabolic(iter(["t", "zz"]))
+    with pytest.raises(ValueError, match="^repeated generators in parabolic subset$"):
+        sysm.parabolic(["s1", "s1"])
+
+
 def test_longest_and_omega():
     i3 = system("I2(3)")
     pd = i3.parabolic(["s", "t"])
