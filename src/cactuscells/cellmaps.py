@@ -99,12 +99,11 @@ def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, below, a
     remainder renormalised by v^alpha.
     """
     remainder = {z: p for z, p in klvec.items() if p and not below(z)}
-    neg_alpha = tuple(-x for x in alpha)
     if len(remainder) == 1:
         (z, p), = remainder.items()
-        if p == {neg_alpha: 1}:
+        if p == {-alpha: 1}:
             return z, 1
-        if p == {neg_alpha: -1}:
+        if p == {-alpha: -1}:
             return z, -1
     sys = algebra.system
     raise TheoremViolationError(
@@ -112,7 +111,7 @@ def _extract_signed_element(algebra: HeckeAlgebra, klvec: dict, w: int, below, a
         witness={
             "element": sys.element(w).render(),
             "remainder": {
-                sys.element(z).render(): laurent.render(laurent.shift(p, alpha))
+                sys.element(z).render(): laurent.render(laurent.shift(p, alpha), algebra.rank)
                 for z, p in sorted(remainder.items())
             },
         },
@@ -189,7 +188,7 @@ class ParabolicInvolutions:
     left_map: dict  # from right multiplication by T_{w_I}; strongly left cellular
     right_map: dict  # from left multiplication by T_{w_I}; strongly right cellular
     sign: dict
-    alpha: dict  # alpha of the subsystem W_I, keyed by the ids of W_I in W
+    alpha: dict  # alpha of the subsystem W_I (packed), keyed by the ids of W_I in W
     cells: CellDecomposition  # the cells of W_I, on its own ids
     hypotheses: dict  # P1, P4, P8, P9 for W_I
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -422,7 +421,7 @@ def degree_bounds_report(algebra: HeckeAlgebra) -> CheckReport:
         for x, p in klc.items():
             if not p:
                 continue
-            bound = tuple(-v for v in table.alpha[x])
+            bound = -table.alpha[x]
             d = laurent.deg(p)
             if d > bound or (d == bound and not cells.left.same_cell(x, y)):
                 wit.append("(x=%s, y=%s)" % (_render(algebra, x), _render(algebra, y)))

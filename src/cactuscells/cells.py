@@ -220,7 +220,10 @@ def _compute_cells(algebra: HeckeAlgebra) -> CellDecomposition:
 
 @dataclass
 class AFunctionTable:
-    """a, alpha, Delta, the Duflo set and the d-map for one (W, phi)."""
+    """a, alpha, Delta, the Duflo set and the d-map for one (W, phi).
+
+    The values of a, alpha and delta are packed exponents (`laurent.pack`);
+    `laurent.unpack(x, algebra.rank)` gives the tuple."""
 
     algebra: HeckeAlgebra
     cells: CellDecomposition
@@ -254,13 +257,11 @@ def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
             if a[z] is None or d > a[z]:
                 a[z] = d
     w0 = sys.longest_id()
-    alpha = tuple(
-        tuple(p - q for p, q in zip(a[sys.multiply(w0, z)], a[z])) for z in ids
-    )
+    alpha = tuple(a[sys.multiply(w0, z)] - a[z] for z in ids)
     delta = []
     for z in ids:
         p = algebra.pstar_poly(0, z)
-        delta.append(tuple(-x for x in laurent.deg(p)) if p else None)
+        delta.append(-laurent.deg(p) if p else None)
     duflo = frozenset(z for z in ids if delta[z] is not None and a[z] == delta[z])
     dmap: dict | None = {}
     bad = []

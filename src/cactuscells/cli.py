@@ -177,7 +177,7 @@ def _cmd_klbasis(args) -> int:
                 {
                     "x": _render(system, x),
                     "y": _render(system, y),
-                    "coeff": laurent.render(algebra.kl_vec(y)[x]),
+                    "coeff": laurent.render(algebra.kl_vec(y)[x], algebra.rank),
                 }
             )
     doc = {"pstar": pstar}
@@ -192,7 +192,7 @@ def _cmd_klbasis(args) -> int:
                             "x": _render(system, x),
                             "y": _render(system, y),
                             "z": _render(system, z),
-                            "coeff": laurent.render(table[(x, y)][z]),
+                            "coeff": laurent.render(table[(x, y)][z], algebra.rank),
                         }
                     )
         doc["h"] = hrecs
@@ -247,14 +247,18 @@ def _cmd_cells(args) -> int:
 def _cmd_afunction(args) -> int:
     system, merged, algebra = _desk_context(args)
     table = build_a_table(algebra)
+
+    def exponent(x):
+        return list(laurent.unpack(x, algebra.rank))
+
     rows = []
     for w in system.all_ids():
         rows.append(
             {
                 "w": _render(system, w),
-                "a": list(table.a[w]),
-                "alpha": list(table.alpha[w]),
-                "delta": list(table.delta[w]) if table.delta[w] is not None else None,
+                "a": exponent(table.a[w]),
+                "alpha": exponent(table.alpha[w]),
+                "delta": exponent(table.delta[w]) if table.delta[w] is not None else None,
                 "duflo": w in table.duflo,
                 "d": _render(system, table.dmap[w]) if table.dmap else None,
             }

@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from . import laurent
 from .cyclo import CosineRing
 
 __all__ = [
@@ -521,7 +522,10 @@ def _conjugacy_classes(system: CoxeterSystem) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A strictly positive weight on S, constant on conjugate generators."""
+    """A strictly positive weight on S, constant on conjugate generators.
+
+    Values are exponent tuples; every component after the first must satisfy
+    |e| < 2**32 (see `laurent.pack`)."""
 
     system: CoxeterSystem
     values: tuple[tuple[int, ...], ...]
@@ -536,6 +540,7 @@ class WeightFunction:
         for v in self.values:
             if not v > zero:
                 raise ValueError("weights must be strictly positive, got %r" % (v,))
+            laurent.pack(v)  # raises on a component the packed exponents cannot hold
         for cls in _conjugacy_classes(self.system):
             vals = {self.values[i] for i in cls}
             if len(vals) > 1:

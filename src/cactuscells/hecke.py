@@ -38,14 +38,18 @@ sa = a t with t in I, and the product is T_a C_t C_x, read off the C_t row
 of x inside W_I.  Its coefficients are Geck's relative Kazhdan-Lusztig
 polynomials (On the induction of Kazhdan-Lusztig cells).
 
-Internally coefficients are the plain dicts of `laurent`; element vectors
+Internally coefficients are the plain dicts of `laurent`, keyed by packed
+int exponents (`zero_exp` is 0, and the bar of v^e is v^-e); element vectors
 are dicts mapping element ids to coefficient dicts.  Every product of
 coefficients accumulates in place through `laurent.add_mul` (`_acc_mul`),
-and the monomial factors v^L(s) and v^-L(s) are one-term dicts stored once
-per generator.  All memo tables belong to the algebra, including the cells,
-a-tables and involutions that other modules keep in `HeckeAlgebra.memo`;
-they are lock-protected and immutable once inserted, so concurrent readers
-are safe and results do not depend on scheduling.
+whose inner step is one int add per term product, and the monomial factors
+v^L(s) and v^-L(s) are one-term dicts packed once per generator from the
+`WeightFunction`.  Exponent tuples appear only at the public boundary:
+`element` packs them, and the `GroupAlgebraElement` views unpack them.
+All memo tables belong to the algebra, including the cells, a-tables and
+involutions that other modules keep in `HeckeAlgebra.memo`; they are
+lock-protected and immutable once inserted, so concurrent readers are safe
+and results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -105,10 +109,11 @@ class HeckeAlgebra:
         self.weights = weights
         self.rank = weights.rank
         self.group = OrderedAbelianGroup(self.rank)
-        self.zero_exp = (0,) * self.rank
-        # the monomials v^L(s) and v^-L(s)
-        self._up = [{weights.of(s): 1} for s in range(system.rank)]
-        self._down = [{tuple(-x for x in weights.of(s)): 1} for s in range(system.rank)]
+        self.zero_exp = 0
+        # the monomials v^L(s) and v^-L(s), exponents packed
+        weight = [laurent.pack(weights.of(s)) for s in range(system.rank)]
+        self._up = [{e: 1} for e in weight]
+        self._down = [{-e: 1} for e in weight]
         # v^L(s) + v^-L(s), the diagonal of C_s C_y for sy < y
         self._cs_diag = [laurent.add(u, d) for u, d in zip(self._up, self._down)]
         self._xi = [laurent.sub(u, d) for u, d in zip(self._up, self._down)]
@@ -241,7 +246,7 @@ class HeckeAlgebra:
                 if e >= zero:
                     m[e] = c
                     if e > zero:
-                        m[tuple(-x for x in e)] = c
+                        m[-e] = c
             ms[z] = m
             # C_z lives on ids <= z, so no id above z changes again
             for x, q in self.kl_vec(z).items():
@@ -419,14 +424,21 @@ class HeckeAlgebra:
     # -- public element-level API ----------------------------------------------------------
 
     def _wrap_poly(self, p: dict) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.group, p)
+        return GroupAlgebraElement._raw(self.group, p)
 
     def element(self, coeffs, basis: str = "T") -> "HeckeElement":
+        """The element sum_w c_w T_w (or C_w); each c_w is a GroupAlgebraElement
+        over this algebra's group or a mapping of exponent tuples (bare ints
+        at rank 1) to integers.  Zero coefficients are dropped; an exponent
+        of the wrong rank raises ValueError."""
         vec: dict = {}
         for w, c in coeffs.items():
             wid = w.index if isinstance(w, CoxeterElement) else int(w)
-            p = c.terms if isinstance(c, GroupAlgebraElement) else dict(c)
-            _acc(vec, wid, p)
+            if not isinstance(c, GroupAlgebraElement):
+                c = GroupAlgebraElement(self.group, c)
+            elif c.group != self.group:
+                raise ValueError("coefficient lives over a different exponent group")
+            _acc(vec, wid, c._terms)
         return HeckeElement(self, basis, vec)
 
     def kl_element(self, w) -> "HeckeElement":
@@ -534,7 +546,7 @@ class HeckeElement:
     def __repr__(self):
         sys = self.algebra.system
         parts = [
-            "(%s)%s_%s" % (laurent.render(p), self.basis, sys.word(w) and ".".join(sys.labels[s] for s in sys.word(w)) or "1")
+            "(%s)%s_%s" % (laurent.render(p, self.algebra.rank), self.basis, sys.word(w) and ".".join(sys.labels[s] for s in sys.word(w)) or "1")
             for w, p in sorted(self.vec.items())
         ]
         return "<H %s>" % (" + ".join(parts) if parts else "0")

@@ -13,7 +13,12 @@ The group algebra A = Z[Z^rank] carries
   triangular correction.
 
 Elements are immutable and hashable; all arithmetic is exact over Python's
-arbitrary-precision integers, so overflow cannot occur.
+arbitrary-precision integers, so overflow cannot occur.  An element stores
+its terms keyed by the packed int exponents of `laurent` (integer order is
+the lexicographic order, `+` the group law, `-` the bar involution); its
+public views (`terms`, iteration, `coefficient`, `degree`, `valuation`) take
+and return exponent tuples.  A component after the first must satisfy
+|e| < 2**32, and construction raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class GroupAlgebraElement:
         if terms:
             for e, c in terms.items():
                 if c:
-                    clean[group.element(e)] = int(c)
+                    clean[laurent.pack(group.element(e))] = int(c)
         self._terms = clean
         self._key = None
 
@@ -87,7 +92,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def _raw(cls, group: OrderedAbelianGroup, terms: dict) -> "GroupAlgebraElement":
-        # trusted constructor: terms already normalized
+        # trusted constructor: terms already packed and normalized
         self = cls.__new__(cls)
         self.group = group
         self._terms = terms
@@ -98,17 +103,20 @@ class GroupAlgebraElement:
 
     @property
     def terms(self) -> dict:
-        """Copy of the exponent -> coefficient map."""
-        return dict(self._terms)
+        """Copy of the exponent tuple -> coefficient map."""
+        rank = self.group.rank
+        return {laurent.unpack(e, rank): c for e, c in self._terms.items()}
 
     def coefficient(self, exponent) -> int:
-        return self._terms.get(self.group.element(exponent), 0)
+        return self._terms.get(laurent.pack(self.group.element(exponent)), 0)
 
     def __bool__(self):
         return bool(self._terms)
 
     def __iter__(self):
-        return laurent.sorted_terms(self._terms)
+        """(exponent tuple, coefficient) pairs, leading term first."""
+        rank = self.group.rank
+        return ((laurent.unpack(e, rank), c) for e, c in laurent.sorted_terms(self._terms))
 
     def __len__(self):
         return len(self._terms)
@@ -154,10 +162,10 @@ class GroupAlgebraElement:
         return GroupAlgebraElement._raw(self.group, laurent.bar(self._terms))
 
     def degree(self):
-        return laurent.deg(self._terms)
+        return laurent.unpack(max(self._terms), self.group.rank) if self._terms else NEG_INF
 
     def valuation(self):
-        return laurent.val(self._terms)
+        return laurent.unpack(min(self._terms), self.group.rank) if self._terms else POS_INF
 
     def is_skew(self) -> bool:
         return laurent.is_skew(self._terms)
@@ -165,7 +173,7 @@ class GroupAlgebraElement:
     # -- text form ---------------------------------------------------------------
 
     def render(self) -> str:
-        return laurent.render(self._terms)
+        return laurent.render(self._terms, self.group.rank)
 
     @classmethod
     def parse(cls, group: OrderedAbelianGroup, text: str) -> "GroupAlgebraElement":
@@ -183,9 +191,7 @@ def skew_split(a: GroupAlgebraElement) -> GroupAlgebraElement:
     """
     if not a.is_skew():
         raise ValueError("skew_split requires a + bar(a) = 0, got %s" % a.render())
-    return GroupAlgebraElement._raw(
-        a.group, laurent.negative_part(a._terms, a.group.zero)
-    )
+    return GroupAlgebraElement._raw(a.group, laurent.negative_part(a._terms))
 
 
 def bar_fixed_completion(a: GroupAlgebraElement) -> GroupAlgebraElement:

@@ -502,7 +502,7 @@ def test_conjecture_checker_detects_failures():
 
     table = a_table("I2(4)", UNEQ)
     wrong_a = list(table.a)
-    wrong_a[0] = (99,)  # a(1) > Delta(1) breaks P1; also breaks P4 at the top
+    wrong_a[0] = 99  # a(1) > Delta(1) breaks P1; also breaks P4 at the top
     broken = dataclasses.replace(table, a=tuple(wrong_a))
     from cactuscells.cells import verify_conjectures
 
@@ -513,7 +513,7 @@ def test_conjecture_checker_detects_failures():
     table = a_table("A3")
     render = lambda w: table.algebra.system.element(w).render() or "1"
     wrong_a = list(table.a)
-    wrong_a[0] = (99,)  # every other element lies below 1 with a smaller a
+    wrong_a[0] = 99  # every other element lies below 1 with a smaller a
     p4 = verify_conjectures(dataclasses.replace(table, a=tuple(wrong_a)), ("P4",))["P4"]
     found = ["%s <=_LR 1 but a drops" % render(w) for w in table.algebra.system.all_ids()[1:]]
     assert found != sorted(found)

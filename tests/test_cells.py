@@ -124,9 +124,9 @@ def test_descent_sets_constant_on_cells(name, spec):
 def test_a_function_dihedral_values():
     table = a_table("I2(3)")
     sysm = system("I2(3)")
-    assert table.a[0] == (0,)
-    assert table.a[elem("I2(3)", ["s"]).index] == (1,)
-    assert table.a[sysm.longest_id()] == (3,)
+    assert table.a[0] == 0
+    assert table.a[elem("I2(3)", ["s"]).index] == 1
+    assert table.a[sysm.longest_id()] == 3
 
 
 def test_a_constant_on_two_sided_cells():
@@ -141,7 +141,7 @@ def test_alpha_vanishes_on_middle_cell_equal_dihedral():
         name = "I2(%d)" % m
         table = a_table(name)
         sysm = system(name)
-        zero = (0,)
+        zero = 0
         for w in sysm.all_ids():
             if w != 0 and w != sysm.longest_id():
                 assert table.alpha[w] == zero
@@ -290,7 +290,7 @@ def test_cell_module_constants_examples():
     consts = cell_module_constants(alg, dec, ident_cell, "left")
     assert all(w == 0 and u == 0 for (_s, w, u) in consts)
     # the generator acts by v + v^{-1} on c_w exactly when it is a left descent
-    xi = {(1,): 1, (-1,): 1}
+    xi = {1: 1, -1: 1}
     for w in sysm.all_ids():
         for sname in ("s", "t"):
             s = sysm.index_of[sname]

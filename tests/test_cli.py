@@ -222,6 +222,24 @@ def test_usage_errors_exit_1(capsys):
     assert (code, out, err) == (1, "", "error: unknown generator 'x' in weights\n")
 
 
+def test_weight_components_after_the_first_are_bounded(capsys):
+    for command in ("cells", "group"):
+        for big in ("99999999999", "4294967296", "-4294967296"):
+            code, out, err = run(
+                capsys, command, "--type", "B3", "--weights", "t=1:%s,s1=0:1,s2=0:1" % big
+            )
+            assert (code, out) == (1, "") and "|e| < 2**32" in err, (command, big)
+    # the leading component is unbounded; a later one may reach 2**32 - 1, and
+    # sums of such weights exceed it without carrying into the leading one
+    code, out, _ = run(
+        capsys, "afunction", "--type", "I2(4)", "--weights", "s=99999999999:1,t=0:4294967295"
+    )
+    assert code == 0
+    top = json.loads(out)["values"][-1]
+    assert top["w"] == "s.t.s.t"
+    assert top["a"] == top["delta"] == [2 * 99999999999, 2 + 2 * 4294967295]
+
+
 def test_conjectures_empty_check_list_exits_1(capsys):
     for check in (",", ""):
         code, out, err = run(capsys, "conjectures", "--type", "A2", "--check", check)

@@ -149,35 +149,105 @@ def raw(rank, coefficients=coeffs):
     return st.dictionaries(st.tuples(*[exps] * rank), coefficients, max_size=6)
 
 
+def packed(a):
+    """A tuple-keyed coefficient dict with its exponents packed."""
+    return {laurent.pack(e): c for e, c in a.items()}
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @given(data=st.data())
 def test_add_mul_matches_naive_product(rank, data):
-    # the inputs may hold zero coefficients; the accumulator never does
+    # tuple exponents, multiplied by the zip sum and packed afterwards, so the
+    # oracle shares none of the packed int arithmetic; the inputs may hold
+    # zero coefficients, the accumulator never does
     a, b = data.draw(raw(rank)), data.draw(raw(rank))
     acc = data.draw(raw(rank, coeffs.filter(bool)))
     sign = data.draw(st.sampled_from((1, -1)))
-    expected = laurent.add(acc, laurent.scale(naive_mul(a, b), sign))
-    laurent.add_mul(acc, a, b, sign)
+    expected = packed(laurent.add(acc, laurent.scale(naive_mul(a, b), sign)))
+    acc = packed(acc)
+    laurent.add_mul(acc, packed(a), packed(b), sign)
     assert acc == expected and 0 not in acc.values()
-    assert laurent.mul(a, b) == naive_mul(a, b)
+    assert laurent.mul(packed(a), packed(b)) == packed(naive_mul(a, b))
     # a product taken back out cancels to zero
-    acc = laurent.mul(a, b)
-    laurent.add_mul(acc, b, a, -1)
+    acc = laurent.mul(packed(a), packed(b))
+    laurent.add_mul(acc, packed(b), packed(a), -1)
     assert acc == {}
 
 
 def test_add_mul_examples():
-    acc = {(0,): 1}
-    laurent.add_mul(acc, {(1,): 0}, {(-1,): 5})
-    assert acc == {(0,): 1}
+    acc = {0: 1}
+    laurent.add_mul(acc, {1: 0}, {-1: 5})
+    assert acc == {0: 1}
     acc = {}
-    laurent.add_mul(acc, {(1,): 0, (0,): 0}, {(2,): 3})
+    laurent.add_mul(acc, {1: 0, 0: 0}, {2: 3})
     assert acc == {}
-    laurent.add_mul(acc, {(1,): 1, (-1,): 1}, {(1,): 1, (-1,): -1})
-    assert acc == {(2,): 1, (-2,): -1}
-    laurent.add_mul(acc, {(1,): 1}, {(1,): 1, (-3,): -1}, -1)
+    laurent.add_mul(acc, {1: 1, -1: 1}, {1: 1, -1: -1})
+    assert acc == {2: 1, -2: -1}
+    laurent.add_mul(acc, {1: 1}, {1: 1, -3: -1}, -1)
     assert acc == {}
-    assert laurent.mul({(1,): 1}, {}) == {}
+    assert laurent.mul({1: 1}, {}) == {}
+
+
+# -- the packed-int exponent codec ------------------------------------------------
+
+BOUND = 2**32
+# the leading component is unbounded, every later one has |e| < 2**32; small
+# values are drawn often so that leading components tie
+leads = st.integers(-3, 3) | st.integers()
+lowers = st.integers(-3, 3) | st.integers(-BOUND + 1, BOUND - 1)
+half_lowers = st.integers(-3, 3) | st.integers(-BOUND // 2 + 1, BOUND // 2 - 1)
+
+
+def exponents(rank, lower=lowers):
+    return st.tuples(leads, *[lower] * (rank - 1))
+
+
+def componentwise(f, *exps):
+    return tuple(map(f, *exps))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@given(data=st.data())
+def test_pack_round_trips_and_orders_lexicographically(rank, data):
+    a, b = data.draw(exponents(rank)), data.draw(exponents(rank))
+    assert laurent.unpack(laurent.pack(a), rank) == a
+    assert (laurent.pack(a) < laurent.pack(b)) == (a < b)
+    assert (laurent.pack(a) == laurent.pack(b)) == (a == b)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@given(data=st.data())
+def test_pack_is_additive_and_negation_is_bar(rank, data):
+    a, b = data.draw(exponents(rank, half_lowers)), data.draw(exponents(rank, half_lowers))
+    total = componentwise(lambda x, y: x + y, a, b)
+    assert laurent.pack(a) + laurent.pack(b) == laurent.pack(total)
+    assert laurent.unpack(laurent.pack(a) + laurent.pack(b), rank) == total
+    assert -laurent.pack(a) == laurent.pack(componentwise(lambda x: -x, a))
+
+
+@pytest.mark.parametrize(
+    "exp", [(0, BOUND), (0, -BOUND), (7, 0, BOUND), (0, BOUND + 5, 0), (-1, 2**40)]
+)
+def test_pack_rejects_a_lower_component_out_of_range(exp):
+    with pytest.raises(ValueError, match=r"\|e\| < 2\*\*32"):
+        laurent.pack(exp)
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        GroupAlgebraElement(OrderedAbelianGroup(len(exp)), {exp: 1})
+
+
+def test_pack_bounds_only_later_components():
+    for exp in ((2**100,), (-(2**70), BOUND - 1), (2**40, -BOUND + 1, BOUND - 1)):
+        assert laurent.unpack(laurent.pack(exp), len(exp)) == exp
+    assert laurent.pack((5,)) == 5 and laurent.pack(()) == 0
+    assert laurent.unpack(0, 0) == ()
+
+
+def test_element_views_keep_tuple_exponents():
+    a = el({(1, -5): 1, (0, 100): 2}, Z2)
+    assert a.terms == {(1, -5): 1, (0, 100): 2}
+    assert list(a) == [((1, -5), 1), ((0, 100), 2)]
+    assert a.coefficient((0, 100)) == 2 and a.coefficient((0, 0)) == 0
+    assert a.bar().terms == {(-1, 5): 1, (0, -100): 2}
 
 
 @given(elements(Z2))
