@@ -10,8 +10,10 @@ the algebra; the brute-force all-element oracle for that fact lives in the
 test suite.
 
 The a-function of z is the maximal degree of any structure constant
-h_{x,y,z}; Delta(z) is minus the degree of the coefficient of T_1 in C_z,
-the Duflo set collects the z with a(z) = Delta(z), and gamma_{x,y,z} is the
+h_{x,y,z}.  As h_{x,y,z} = h_{y^-1,x^-1,z^-1}, it is read from the rows
+with x <= y^-1 in id order alone, each degree counting for z and z^-1.
+Delta(z) is minus the degree of the coefficient of T_1 in C_z, the Duflo
+set collects the z with a(z) = Delta(z), and gamma_{x,y,z} is the
 coefficient of the top degree v^{a(z^{-1})} in h_{x,y,z^{-1}}.  The checks
 P1, P4, P8, P9 are reported with explicit witnesses on failure; a failed
 check is a result, not an error.
@@ -249,13 +251,17 @@ def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
     sys = algebra.system
     cells = compute_cells(algebra)
     ids = sys.all_ids()
-    table = algebra.full_h_table()
+    inv = sys.inverse
     a: list = [None] * len(ids)
-    for (_x, _y), row in table.items():
+    # h_{x,y,z} = h_{y^-1,x^-1,z^-1}: the rows with x <= y^-1 give every degree
+    for (x, y), row in algebra.full_h_table().items():
+        if x > inv(y):
+            continue
         for z, p in row.items():
             d = laurent.deg(p)
-            if a[z] is None or d > a[z]:
-                a[z] = d
+            for w in (z, inv(z)):
+                if a[w] is None or d > a[w]:
+                    a[w] = d
     w0 = sys.longest_id()
     alpha = tuple(a[sys.multiply(w0, z)] - a[z] for z in ids)
     delta = []
@@ -348,7 +354,9 @@ def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) ->
 
 
 def cell_module_constants(algebra: HeckeAlgebra, cells: CellDecomposition, cell: int, side: str = "left") -> dict:
-    """Action of the generators on the cell module basis (c_w), as h-constants."""
+    """Action of the generators on the cell module basis (c_w), as h-constants:
+    (s, w, u) -> the coefficient of C_u in C_s C_w (side "left") or C_w C_s
+    (side "right"), for w and u in the cell."""
     part = cells.partition(side)
     members = sorted(part.members(cell))
     out = {}
@@ -356,5 +364,5 @@ def cell_module_constants(algebra: HeckeAlgebra, cells: CellDecomposition, cell:
         for w in members:
             for u, p in algebra.cs_row(side, s, w).items():
                 if part.cell_of[u] == cell and p:
-                    out[(s, w, u)] = dict(p)
+                    out[(s, w, u)] = algebra._wrap_poly(p)
     return out

@@ -25,8 +25,12 @@ images of the T_w serve only `HeckeElement.bar()`.
 Structure constants come from the same recursion: for x' = s x < x,
 C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, so the row of C_x C_y in the
 C basis is built from the row of C_x' C_y and the rows of the lower C_z C_y,
-without passing through the standard basis.  Products by T_u also stay in
-the C basis (`t_word_kl`): T_s = C_s - v^-L(s) acts through the C_s rows.
+without passing through the standard basis.  Only the pairs with
+x <= y^-1 in id order run it: the anti-involution gives
+h_{x,y,z} = h_{y^-1,x^-1,z^-1}, so every other row is its mirror row with
+the ids inverted and the coefficient dicts shared.  Products by T_u also
+stay in the C basis (`t_word_kl`): T_s = C_s - v^-L(s) acts through the
+C_s rows.
 
 The M do not depend on the basis the C are written in, so the same recursion
 writes C_w over the induced basis T_a C_x of a parabolic W_I (a minimal in
@@ -309,14 +313,22 @@ class HeckeAlgebra:
     def h_row(self, x: int, y: int) -> dict:
         """C_x C_y in the Kazhdan-Lusztig basis: a dict z -> h_{x,y,z}.
 
-        With s the first letter of x and x' = s x, C_s C_x' = C_x + sum m_z C_z
-        over z < x, so C_x C_y = C_s (C_x' C_y) - sum m_z C_z C_y.
+        For x <= y^-1 in id order, with s the first letter of x and x' = s x,
+        C_s C_x' = C_x + sum m_z C_z over z < x, so
+        C_x C_y = C_s (C_x' C_y) - sum m_z C_z C_y, and the pairs (x', y) and
+        (z, y) it reads are below the same bound.  For x > y^-1 the row is
+        read off the mirror h_{x,y,z} = h_{y^-1,x^-1,z^-1} of the
+        anti-involution C_w -> C_{w^-1}, and shares its coefficient dicts
+        with the row of (y^-1, x^-1).
         """
         key = (x, y)
         row = self._h.get(key)
         if row is not None:
             return row
-        if x == 0:
+        inv = self.system.inverse
+        if x > inv(y):
+            row = {inv(z): p for z, p in self.h_row(inv(y), inv(x)).items()}
+        elif x == 0:
             row = {y: {self.zero_exp: 1}}
         else:
             s = self.system.word(x)[0]
@@ -338,8 +350,10 @@ class HeckeAlgebra:
     def full_h_table(self, jobs: int = 1) -> dict:
         """All structure-constant rows, keyed (x, y).
 
-        `jobs` is ignored; it stays accepted because the `h_table_jobs2` probe
-        in perfbench/workloads.py passes jobs=2.
+        Only the pairs with x <= y^-1 run the C_s recursion; each other row
+        is the mirror of its (y^-1, x^-1) row and shares that row's
+        coefficient dicts.  `jobs` is ignored; it stays accepted because the
+        `h_table_jobs2` probe in perfbench/workloads.py passes jobs=2.
         """
         if not self._h_complete:
             ids = self.system.all_ids()

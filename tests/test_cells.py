@@ -2,6 +2,7 @@
 
 import pytest
 
+from cactuscells import laurent
 from cactuscells.cells import CheckReport, cell_module_constants, verify_conjectures
 
 from support import (
@@ -280,6 +281,24 @@ def test_check_report_of():
     assert not few and few.witnesses == ("b", "a")
 
 
+@pytest.mark.parametrize(
+    "name,spec",
+    [("A3", None), ("H3", None), ("D4", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX),
+     ("I2(8)", (("s", 2), ("t", 3)))],
+    ids=["A3", "H3", "D4", "B3-t2", "B3-lex", "I2(8)"],
+)
+def test_a_function_is_the_top_degree_over_the_whole_h_table(name, spec):
+    """The a-table, read from the rows with x <= y^-1, against the plain
+    maximum over every row."""
+    alg = algebra(name, spec)
+    top = {}
+    for row in alg.full_h_table().values():
+        for z, p in row.items():
+            d = laurent.deg(p)
+            top[z] = max(top.get(z, d), d)
+    assert a_table(name, spec).a == tuple(top[z] for z in alg.system.all_ids())
+
+
 def test_cell_module_constants_examples():
     name = "I2(5)"
     alg = algebra(name)
@@ -299,8 +318,30 @@ def test_cell_module_constants_examples():
     # constants restricted to a cell agree with the h-table
     gamma_s = dec.left.cell_of[elem(name, ["s"]).index]
     consts = cell_module_constants(alg, dec, gamma_s, "left")
+    assert consts
     for (s, w, u), p in consts.items():
-        assert alg.h_poly(alg.gen_id(s), w, u) == p
+        assert alg.kl_table.h(alg.gen_id(s), w, u) == p
+
+
+def test_cell_module_constants_keep_tuple_exponents():
+    """At rank 2 the constants are GroupAlgebraElements whose exponents are
+    weight tuples, on both sides."""
+    alg = algebra("B3", B3_LEX)
+    dec = cells("B3", B3_LEX)
+    sysm = alg.system
+    weight = {s: alg.weights.of(s) for s in range(sysm.rank)}
+    for side, descents in (("left", sysm.left_descents), ("right", sysm.right_descents)):
+        part = dec.partition(side)
+        for cell in range(len(part.cells)):
+            consts = cell_module_constants(alg, dec, cell, side)
+            for (s, w, u), p in consts.items():
+                x, y = (alg.gen_id(s), w) if side == "left" else (w, alg.gen_id(s))
+                assert p == alg.kl_table.h(x, y, u)
+                assert all(len(e) == 2 for e in p.terms)
+            for w in part.members(cell):
+                for s in descents(w):
+                    e = weight[s]
+                    assert consts[(s, w, w)].terms == {e: 1, tuple(-c for c in e): 1}
 
 
 def test_gamma_values_dihedral():

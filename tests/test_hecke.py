@@ -522,6 +522,51 @@ def test_h_rows_match_standard_basis_products(name, spec):
             assert table[(x, y)] == (cx * cy).vec
 
 
+@pytest.mark.parametrize(
+    "name,spec", [("A3", None), ("B3", B3_LEX), ("I2(8)", I2_8), ("D4", None)],
+    ids=["A3", "B3-lex", "I2(8)", "D4"],
+)
+def test_h_rows_past_the_diagonal_are_mirror_rows(name, spec):
+    """h_{x,y,z} = h_{y^-1,x^-1,z^-1}, and a row with x > y^-1 holds the very
+    coefficient dicts of its mirror row.  The C_s rows of the few pairs
+    (s, y) with y = 1 or a generator below s may come from the KL walk
+    first, so for x a generator only the values are pinned."""
+    sysm = system(name)
+    inv = sysm.inverse
+    table = HeckeAlgebra(sysm, weights(name, spec)).full_h_table()
+    assert len(table) == len(sysm.all_ids()) ** 2
+    mirrored = 0
+    for (x, y), row in table.items():
+        if x <= inv(y):
+            continue
+        mirror = table[(inv(y), inv(x))]
+        assert row == {inv(z): p for z, p in mirror.items()}
+        if sysm.length(x) > 1:
+            assert all(p is mirror[inv(z)] for z, p in row.items())
+            mirrored += 1
+    assert mirrored > len(table) // 3
+
+
+@pytest.mark.parametrize("name", ["A4", "H3"])
+def test_mirror_rows_match_standard_basis_products(name):
+    """Rows with x > y^-1, asked for on demand, against C_x * C_y multiplied
+    in the T basis and rewritten by to_kl."""
+    sysm = system(name)
+    inv = sysm.inverse
+    alg = HeckeAlgebra(sysm, weights(name))
+    ids = sysm.all_ids()
+    rng = random.Random(name)
+    pairs = set()
+    while len(pairs) < 25:
+        x, y = rng.choice(ids), rng.choice(ids)
+        if x > inv(y):
+            pairs.add((x, y))
+    one = {alg.group.zero: 1}
+    for x, y in sorted(pairs):
+        product = alg.element({x: one}, basis="C") * alg.element({y: one}, basis="C")
+        assert alg.h_row(x, y) == product.vec
+
+
 def test_structure_constants_public_api():
     alg = algebra("I2(3)")
     sysm = alg.system
