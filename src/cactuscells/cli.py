@@ -92,8 +92,8 @@ def _load_context(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     jobs = merged.get("jobs")
-    if jobs is not None and int(jobs) < 1:  # validated, though it has no effect
-        raise UsageError("--jobs must be >= 1")
+    if jobs is not None and (type(jobs) is not int or jobs < 1):  # validated, though it has no effect
+        raise UsageError("--jobs must be an integer >= 1")
     max_length = merged.get("max_length")
     if max_length is not None and (type(max_length) is not int or max_length < 0):
         raise UsageError("--max-length must be an integer >= 0")
@@ -126,16 +126,25 @@ def _render(system, w: int) -> str:
     return system.element(w).render()
 
 
-def _parabolic_labels(system, merged):
-    spec = merged.get("parabolic")
-    if spec is None:
-        return tuple(system.labels)
+def _names(merged, key: str, what: str) -> tuple:
+    """The value under `key`, a comma-separated string (a flag or config
+    value) or a config list of strings, as a tuple of names."""
+    spec = merged[key]
     if isinstance(spec, str):
-        spec = [x.strip() for x in spec.split(",") if x.strip()]
+        return tuple(x.strip() for x in spec.split(",") if x.strip())
+    if isinstance(spec, list) and all(isinstance(x, str) for x in spec):
+        return tuple(spec)
+    raise UsageError("--%s must be a comma-separated string or a list of %s" % (key, what))
+
+
+def _parabolic_labels(system, merged):
+    if merged.get("parabolic") is None:
+        return tuple(system.labels)
+    spec = _names(merged, "parabolic", "generator labels")
     for lab in spec:
         if lab not in system.index_of:
             raise UsageError("unknown generator %r in --parabolic" % lab)
-    return tuple(spec)
+    return spec
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -312,11 +321,9 @@ def _cmd_cellmaps(args) -> int:
 
 def _cmd_conjectures(args) -> int:
     system, merged, algebra = _desk_context(args)
-    which = merged.get("check")
-    if which is None:
-        which = "P1,P4,P8,P9"
-    if isinstance(which, str):
-        which = tuple(x.strip() for x in which.split(",") if x.strip())
+    which = ("P1", "P4", "P8", "P9")
+    if merged.get("check") is not None:
+        which = _names(merged, "check", "conjecture names")
     if not which:
         raise UsageError("--check names no conjecture; choose from P1,P4,P8,P9")
     bad = [c for c in which if c not in ("P1", "P4", "P8", "P9")]

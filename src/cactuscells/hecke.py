@@ -50,10 +50,19 @@ whose inner step is one int add per term product, and the monomial factors
 v^L(s) and v^-L(s) are one-term dicts packed once per generator from the
 `WeightFunction`.  Exponent tuples appear only at the public boundary:
 `element` packs them, and the `GroupAlgebraElement` views unpack them.
-All memo tables belong to the algebra, including the cells, a-tables and
-involutions that other modules keep in `HeckeAlgebra.memo`; they are
-lock-protected and immutable once inserted, so concurrent readers are safe
-and results do not depend on scheduling.
+
+Stored coefficients are pooled: each algebra keeps one pool of read-only
+coefficient dicts keyed by their terms, and every finished vector it stores
+(the C_w, the C_s rows, the h rows, the mixed-basis rows) passes once
+through `_share`, so equal polynomials are one object.  Mirror rows and
+right rows reuse their source row's dicts.  A pooled dict is never an
+accumulator's target: `_acc` copies a coefficient before it stores it, and
+`_acc_mul` writes only dicts it created.  All memo tables belong to the
+algebra, including the cells, a-tables and involutions that other modules
+keep in `HeckeAlgebra.memo`; they are lock-protected and immutable once
+inserted, so concurrent readers are safe and results do not depend on
+scheduling.  Mixed-basis tables are the exception: `mixed_basis_table`
+builds one per call and keeps none, as each is read once.
 """
 
 from __future__ import annotations
@@ -126,9 +135,18 @@ class HeckeAlgebra:
         self._h: dict = {}
         self._h_complete = False
         self._right: dict = {}
+        self._pool: dict = {}
         self._gen_ids = [system.id_of_word((s,)) for s in range(system.rank)]
         self._memo: dict = {}
         self._lock = threading.RLock()
+
+    def _share(self, vec: dict) -> dict:
+        """Swap each coefficient of a finished vector, in place, for the
+        pooled read-only dict equal to it, and return the vector."""
+        pool = self._pool
+        for w, p in vec.items():
+            vec[w] = pool.setdefault(frozenset(p.items()), p)
+        return vec
 
     def memo(self, key, build):
         """The value memoized on this algebra under `key`, made by `build()` on
@@ -223,7 +241,7 @@ class HeckeAlgebra:
     def _ensure_kl(self, upto: int) -> None:
         with self._lock:
             while len(self._kl) <= upto:
-                self._kl.append(self._compute_kl(len(self._kl)))
+                self._kl.append(self._share(self._compute_kl(len(self._kl))))
 
     def _left_walk(self, s: int, y: int) -> tuple[dict, dict]:
         """For y < s y: C_{sy} in the standard basis and the M with
@@ -276,7 +294,7 @@ class HeckeAlgebra:
                 raise ConsistencyError(
                     "coefficient of T_%d in C_%d is not strictly negative" % (x, w)
                 )
-        self._h.setdefault((self.gen_id(s), sw), {w: {zero: 1}, **ms})
+        self._h.setdefault((self.gen_id(s), sw), self._share({w: {zero: 1}, **ms}))
         return cur
 
     def kl_vec(self, w: int) -> dict:
@@ -329,7 +347,7 @@ class HeckeAlgebra:
         if x > inv(y):
             row = {inv(z): p for z, p in self.h_row(inv(y), inv(x)).items()}
         elif x == 0:
-            row = {y: {self.zero_exp: 1}}
+            row = self._share({y: {self.zero_exp: 1}})
         else:
             s = self.system.word(x)[0]
             xp = self.system.left_mult_gen(s, x)
@@ -341,6 +359,7 @@ class HeckeAlgebra:
                 if z != x:
                     for w, p in self.h_row(z, y).items():
                         _acc_mul(row, w, m, p, -1)
+            self._share(row)
         with self._lock:
             return self._h.setdefault(key, row)
 
@@ -390,7 +409,7 @@ class HeckeAlgebra:
             return row
         sy = self.system.left_mult_gen(s, y)
         if sy < y:
-            row = {y: dict(self._cs_diag[s])}
+            row = self._share({y: self._cs_diag[s]})
         else:
             csy = self.kl_vec(sy)
             row = self._h.get(key)
@@ -400,7 +419,7 @@ class HeckeAlgebra:
                     raise ConsistencyError(
                         "C_%d C_%d does not peel down to C_%d" % (self.gen_id(s), y, sy)
                     )
-                row = {sy: {self.zero_exp: 1}, **ms}
+                row = self._share({sy: {self.zero_exp: 1}, **ms})
         with self._lock:
             return self._h.setdefault(key, row)
 
@@ -433,7 +452,8 @@ class HeckeAlgebra:
     # -- mixed basis for a parabolic subgroup ------------------------------------------
 
     def mixed_basis_table(self, pdata: ParabolicData) -> "MixedBasisTable":
-        return self.memo(("mixed", pdata.indices), lambda: _build_mixed_table(self, pdata))
+        """A new table for `pdata` on each call; tables are not memoized."""
+        return _build_mixed_table(self, pdata)
 
     # -- public element-level API ----------------------------------------------------------
 
@@ -642,7 +662,7 @@ def _build_mixed_table(algebra: HeckeAlgebra, pdata: ParabolicData) -> MixedBasi
     rows: dict = {}
     for w in sys.all_ids():  # ids ascend in length, so every row used is built
         if parts[w][0] == 0:
-            rows[w] = {w: dict(one)}
+            rows[w] = algebra._share({w: {zero: 1}})
             continue
         s = sys.word(w)[0]
         y = sys.left_mult_gen(s, w)
@@ -667,7 +687,7 @@ def _build_mixed_table(algebra: HeckeAlgebra, pdata: ParabolicData) -> MixedBasi
                 raise ConsistencyError(
                     "mixed-basis coefficient (%d in %d) not strictly negative" % (u, w)
                 )
-        rows[w] = out
+        rows[w] = algebra._share(out)
     return MixedBasisTable(algebra, pdata, rows)
 
 

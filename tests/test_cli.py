@@ -256,6 +256,23 @@ def test_max_length_must_be_a_nonnegative_int(tmp_path, capsys):
     assert code == 1 and out == "" and "max-length" in err
 
 
+def test_wrongly_typed_config_values_are_usage_errors(tmp_path, capsys):
+    cases = [
+        ("cellmaps", {"type": "A2", "parabolic": 5}, "--parabolic"),
+        ("cellmaps", {"type": "A2", "parabolic": [["s1"]]}, "--parabolic"),
+        ("conjectures", {"type": "A2", "check": 5}, "--check"),
+        ("conjectures", {"type": "A2", "check": ["P1", 4]}, "--check"),
+        ("cells", {"type": "A2", "jobs": "x"}, "--jobs"),
+        ("cells", {"type": "A2", "jobs": [2]}, "--jobs"),
+    ]
+    for command, config, key in cases:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, ""), config
+        assert err.startswith("error: %s must be " % key), (config, err)
+
+
 def test_large_group_gate(capsys):
     code, _, err = run(capsys, "cells", "--matrix", json.dumps(
         [[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 3, 2], [2, 2, 3, 1, 3], [2, 2, 2, 3, 1]]

@@ -10,8 +10,16 @@ from hypothesis import given, settings, strategies as st
 import cactuscells.laurent as L
 from cactuscells import CoxeterSystem, WeightFunction
 from cactuscells.cactus import cactus_presentation
+from cactuscells.cellmaps import parabolic_involutions, verify_mixed_basis_sign_identity
 from cactuscells.cells import compute_cells
-from cactuscells.hecke import ConsistencyError, HeckeAlgebra, _acc_mul, algebra_for
+from cactuscells.cli import main
+from cactuscells.hecke import (
+    ConsistencyError,
+    HeckeAlgebra,
+    MixedBasisTable,
+    _acc_mul,
+    algebra_for,
+)
 from cactuscells.ordgroup import GroupAlgebraElement, OrderedAbelianGroup
 
 from support import (
@@ -671,3 +679,49 @@ def test_vectors_hold_no_empty_coefficient(name, spec):
             for side in ("left", "right"):
                 vectors.append(alg.t_word_kl(side, word, {y: one}))
     assert all(all(p and 0 not in p.values() for p in vec.values()) for vec in vectors)
+
+
+# -- the coefficient pool ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flag,spec", [("t=2,s1=1,s2=1", B3_WEIGHTS), ("t=1:-1,s1=1:0,s2=1:0", B3_LEX)]
+)
+def test_pooled_coefficients_stay_intact_and_shared(flag, spec, monkeypatch, capsys):
+    """After every command has run on one algebra, each pooled coefficient
+    still equals its key, so no accumulator wrote into a shared dict; every
+    stored C_w and C_s or h row holds pooled dicts only; and the C_w of the
+    whole group hold one object per distinct polynomial."""
+    monkeypatch.setattr("cactuscells.hecke._registry", {})  # a fresh algebra for this test
+    commands = [["cells"], ["afunction"], ["conjectures"], ["klbasis", "--with-h"], ["cactus", "verify"]]
+    commands += [
+        ["cellmaps", "--parabolic", labels, "--side", side]
+        for labels in ("s1", "s1,s2")
+        for side in ("left", "right")
+    ]
+    codes = [main(command + ["--type", "B3", "--weights", flag]) for command in commands]
+    capsys.readouterr()
+    alg = algebra("B3", spec)
+    assert all(dict(key) == p for key, p in alg._pool.items())
+    assert codes == [0] * len(commands)
+    assert alg._h_complete  # the algebra the commands ran on
+    pooled = {id(p) for p in alg._pool.values()}
+    ids = alg.system.all_ids()
+    stored = [alg.kl_vec(w) for w in ids] + list(alg._h.values())
+    assert all(id(p) in pooled for vec in stored for p in vec.values())
+    coeffs = [p for w in ids for p in alg.kl_vec(w).values()]
+    assert len({id(p) for p in coeffs}) == len({frozenset(p.items()) for p in coeffs})
+
+
+def test_mixed_tables_are_built_per_call_and_not_kept():
+    """The sign identity builds its table, reads it and drops it; two builds
+    for one parabolic agree, and their rows hold pooled coefficients."""
+    alg = HeckeAlgebra(system("B3"), weights("B3", B3_WEIGHTS))
+    pinv = parabolic_involutions(alg, ("t", "s1"))
+    assert verify_mixed_basis_sign_identity(pinv).holds
+    assert not any(isinstance(v, MixedBasisTable) for v in alg._memo.values())
+    first = alg.mixed_basis_table(pinv.pdata)
+    second = alg.mixed_basis_table(pinv.pdata)
+    assert first is not second and first.rows == second.rows
+    coeffs = [p for row in first.rows.values() for p in row.values()]
+    assert all(alg._pool[frozenset(p.items())] is p for p in coeffs)
