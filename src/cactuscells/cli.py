@@ -86,6 +86,13 @@ def _load_context(args):
             merged[key] = val
     if getattr(args, "allow_large", False):
         merged["allow_large"] = True
+    weights = merged.get("weights")
+    if weights is not None and not (
+        isinstance(weights, dict) and all(_is_weight(v) for v in weights.values())
+    ):
+        raise UsageError(
+            "--weights must be a mapping from generator labels to integers or lists of integers"
+        )
     try:
         system = system_from_config(merged)
         weights = weights_from_config(system, merged.get("weights"))
@@ -98,8 +105,17 @@ def _load_context(args):
     if max_length is not None and (type(max_length) is not int or max_length < 0):
         raise UsageError("--max-length must be an integer >= 0")
     out = merged.get("out")
+    if out is not None and not isinstance(out, str):
+        raise UsageError("--out must be a directory path string")
     merged["out"] = Path(out) if out else None
     return system, weights, merged
+
+
+def _is_weight(value) -> bool:
+    """An integer, or a tuple or config list of integers (one per rank)."""
+    if isinstance(value, (list, tuple)):
+        return all(type(x) is int for x in value)
+    return type(value) is int
 
 
 def _desk_context(args):
@@ -363,13 +379,21 @@ def _cmd_cactus_verify(args) -> int:
 
 def _cmd_cactus_act(args) -> int:
     system, merged, algebra = _desk_context(args)
-    if merged.get("word") is None:
+    spec = merged.get("word")
+    if spec is None:
         raise UsageError("cactus act needs --word")
-    word = parse_word(merged["word"]) if isinstance(merged["word"], str) else tuple(
-        tuple(letter) for letter in merged["word"]
-    )
+    if isinstance(spec, str):
+        word = parse_word(spec)
+    elif isinstance(spec, list) and all(
+        isinstance(letter, list) and all(isinstance(x, str) for x in letter) for letter in spec
+    ):
+        word = tuple(tuple(letter) for letter in spec)
+    else:
+        raise UsageError("--word must be a string or a list of lists of generator labels")
     side = _side(merged, "left", ("left", "right"), "left or right")
     element_text = merged.get("element") or ""
+    if not isinstance(element_text, str):
+        raise UsageError("--element must be a string")
     action = CactusAction(algebra)
     for letter in word:
         if not action.presentation.is_generator(letter):

@@ -218,6 +218,7 @@ class CoxeterSystem:
         self._words: list[tuple[int, ...]] = [()]
         self._key_of = {self._element_key(()): 0}
         self._rmul: list[list] = [[None] * n]
+        self._lmul: list[list] = [[None] * n]
         self._inv: list = [0]
         self._frontier = [0]
         self._explored = 0
@@ -295,6 +296,7 @@ class CoxeterSystem:
                     self._words.append(child_word)
                     self._key_of[key] = child
                     self._rmul.append([None] * n)
+                    self._lmul.append([None] * n)
                     self._inv.append(None)
                     new_frontier.append(child)
                 row[s] = child
@@ -359,7 +361,14 @@ class CoxeterSystem:
         return out
 
     def left_mult_gen(self, s: int, w: int) -> int:
-        return self.inverse(self.mult_gen(self.inverse(w), s))
+        """s w, from the left-multiplication table; both entries of the pair
+        {w, s w} are filled on first use, from (w^-1 s)^-1."""
+        out = self._lmul[w][s]
+        if out is None:
+            out = self.inverse(self.mult_gen(self.inverse(w), s))
+            self._lmul[w][s] = out
+            self._lmul[out][s] = w
+        return out
 
     def right_descents(self, w: int) -> frozenset[int]:
         lw = len(self._words[w])

@@ -13,11 +13,15 @@ section 6): for y < s y,
 
     C_s C_y = C_{sy} + sum_{z < sy} M^s_{z,y} C_z
 
-with bar-fixed M.  Expanding C_s C_y in the standard basis and peeling off,
-from the top down, the bar-fixed completion of each coefficient that is not
-strictly negative leaves C_{sy} and yields the M (`_left_walk`).  So C_w is
-the walk on (s, s w) for s the first letter of w, and cs_left_row reads its
-M.  The anti-involution T_w -> T_{w^-1} commutes with bar and sends C_w to
+with bar-fixed M.  As C_s = T_s + v^-L(s), the coefficient of T_x in C_s C_y
+is v^L(s) p_x + p_{sx} if sx < x and v^-L(s) p_x + p_{sx} otherwise, p_x
+being that of C_y, so one pass over C_y expands the product in the standard
+basis.  Peeling off, from the top down, the bar-fixed completion of each
+coefficient that is not strictly negative leaves C_{sy} and yields the M
+(`_left_walk`).  Only left descents z (sz < z) are peeled: M^s_{z,y} is
+nonzero only for sz < z < y (ibid., section 6).  So C_w is the walk on
+(s, s w) for s the first letter of w, and cs_left_row reads its M.  The
+anti-involution T_w -> T_{w^-1} commutes with bar and sends C_w to
 C_{w^-1}, so the right rows are the left rows of the inverses; `cs_row`
 is the one place that picks the left or the right row by side.  The bar
 images of the T_w serve only `HeckeElement.bar()`.
@@ -48,7 +52,8 @@ are dicts mapping element ids to coefficient dicts.  Every product of
 coefficients accumulates in place through `laurent.add_mul` (`_acc_mul`),
 whose inner step is one int add per term product, and the monomial factors
 v^L(s) and v^-L(s) are one-term dicts packed once per generator from the
-`WeightFunction`.  Exponent tuples appear only at the public boundary:
+`WeightFunction`; the walk multiplies by them by adding the packed L(s) or
+-L(s) to each exponent.  Exponent tuples appear only at the public boundary:
 `element` packs them, and the `GroupAlgebraElement` views unpack them.
 
 Stored coefficients are pooled: each algebra keeps one pool of read-only
@@ -123,10 +128,10 @@ class HeckeAlgebra:
         self.rank = weights.rank
         self.group = OrderedAbelianGroup(self.rank)
         self.zero_exp = 0
-        # the monomials v^L(s) and v^-L(s), exponents packed
-        weight = [laurent.pack(weights.of(s)) for s in range(system.rank)]
-        self._up = [{e: 1} for e in weight]
-        self._down = [{-e: 1} for e in weight]
+        # the packed L(s), and the monomials v^L(s) and v^-L(s)
+        self._weight = [laurent.pack(weights.of(s)) for s in range(system.rank)]
+        self._up = [{e: 1} for e in self._weight]
+        self._down = [{-e: 1} for e in self._weight]
         # v^L(s) + v^-L(s), the diagonal of C_s C_y for sy < y
         self._cs_diag = [laurent.add(u, d) for u, d in zip(self._up, self._down)]
         self._xi = [laurent.sub(u, d) for u, d in zip(self._up, self._down)]
@@ -182,18 +187,6 @@ class HeckeAlgebra:
                 _acc_mul(res, w, xi, p)
         return res
 
-    def mul_gen_left(self, s: int, h: dict) -> dict:
-        """T_s * h in the standard basis."""
-        sys = self.system
-        xi = self._xi[s]
-        res: dict = {}
-        for w, p in h.items():
-            sw = sys.left_mult_gen(s, w)
-            _acc(res, sw, p)
-            if sys.length(sw) < sys.length(w):
-                _acc_mul(res, w, xi, p)
-        return res
-
     def t_mul(self, h1: dict, h2: dict) -> dict:
         """Product of two standard-basis vectors."""
         sys = self.system
@@ -245,15 +238,39 @@ class HeckeAlgebra:
 
     def _left_walk(self, s: int, y: int) -> tuple[dict, dict]:
         """For y < s y: C_{sy} in the standard basis and the M with
-        C_s C_y = C_{sy} + sum_z M_z C_z."""
+        C_s C_y = C_{sy} + sum_z M_z C_z.
+
+        With C_y = sum_x p_x T_x and C_s = T_s + v^-L(s), the coefficient of
+        T_x in C_s C_y is v^L(s) p_x + p_{sx} if sx < x and v^-L(s) p_x +
+        p_{sx} otherwise, so one pass over C_y builds it: p_x shifted by
+        +-L(s) at x, and p_x added at sx.  Then, from the top down, each
+        coefficient of degree >= 0 is peeled.  Only left descents are
+        candidates: M_z is nonzero only when sz < z < y (Lusztig, Hecke
+        algebras with unequal parameters, section 6), and at x < sx both
+        terms of the coefficient are strictly negative.
+        """
         zero = self.zero_exp
+        lmul = self.system.left_mult_gen
         cy = self.kl_vec(y)
-        sy = self.system.left_mult_gen(s, y)
-        vec = self.mul_gen_left(s, cy)
-        down = self._down[s]
-        for z, p in cy.items():
-            _acc_mul(vec, z, down, p)
-        heap = [-z for z in vec if z != sy]
+        up = self._weight[s]
+        vec: dict = {}
+        heap = []
+        for x, p in cy.items():
+            sx = lmul(s, x)
+            if sx < x:
+                heap.append(-x)
+                e = up
+            else:
+                e = -up
+            cur = vec.get(x)
+            if cur is None:
+                vec[x] = {f + e: c for f, c in p.items()}
+            else:
+                for f, c in p.items():
+                    laurent.add_term(cur, f + e, c)
+                if not cur:
+                    del vec[x]
+            _acc(vec, sx, p)
         heapq.heapify(heap)
         ms: dict = {}
         while heap:
@@ -272,7 +289,7 @@ class HeckeAlgebra:
             ms[z] = m
             # C_z lives on ids <= z, so no id above z changes again
             for x, q in self.kl_vec(z).items():
-                if x not in vec:
+                if x not in vec and lmul(s, x) < x:
                     heapq.heappush(heap, -x)
                 _acc_mul(vec, x, m, q, -1)
         return vec, ms

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 from cactuscells import WeightFunction, named_system
 from cactuscells.cells import build_a_table, compute_cells
-from cactuscells.hecke import algebra_for
+from cactuscells.hecke import _acc, _acc_mul, algebra_for
 
 
 @lru_cache(maxsize=None)
@@ -63,10 +63,24 @@ UNEQ = (("s", 1), ("t", 2))
 UNEQ_REV = (("s", 2), ("t", 1))
 
 
+def mul_gen_left(alg, s, h):
+    """T_s * h in the standard basis by the quadratic relation: the oracles'
+    left product, kept apart from the library's one-pass walk."""
+    sys = alg.system
+    xi = alg._xi[s]
+    res: dict = {}
+    for w, p in h.items():
+        sw = sys.left_mult_gen(s, w)
+        _acc(res, sw, p)
+        if sys.length(sw) < sys.length(w):
+            _acc_mul(res, w, xi, p)
+    return res
+
+
 def t_mul_word_left(alg, letters, h):
     """T_u * h in the standard basis, for u given by a reduced word (applied
     innermost-first): the oracles' product, sharing no arithmetic with the
     library's C-basis products."""
     for s in reversed(tuple(letters)):
-        h = alg.mul_gen_left(s, h)
+        h = mul_gen_left(alg, s, h)
     return h

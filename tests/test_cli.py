@@ -273,6 +273,28 @@ def test_wrongly_typed_config_values_are_usage_errors(tmp_path, capsys):
         assert err.startswith("error: %s must be " % key), (config, err)
 
 
+def test_wrongly_typed_word_element_weights_and_out_are_usage_errors(tmp_path, capsys):
+    cases = [
+        (("cactus", "act"), {"type": "A2", "word": 5}, "--word"),
+        (("cactus", "act"), {"type": "A2", "word": [["s1", 3]]}, "--word"),
+        (("cactus", "act"), {"type": "A2", "word": "s1", "element": 5}, "--element"),
+        (("cells",), {"type": "A2", "weights": 5}, "--weights"),
+        (("cells",), {"type": "A2", "weights": {"s1": "1", "s2": 1}}, "--weights"),
+        (("cells",), {"type": "A2", "out": 5}, "--out"),
+    ]
+    for command, config, key in cases:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert (code, out) == (1, ""), config
+        assert err.startswith("error: %s must be " % key), (config, err)
+    # the well-typed config forms still work
+    cfg.write_text(json.dumps({"type": "B2", "weights": {"t": [1, 0], "s1": [0, 1]},
+                               "word": [["s1"]], "element": "t"}))
+    code, out, _ = run(capsys, "cactus", "act", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["word"] == "s1"
+
+
 def test_large_group_gate(capsys):
     code, _, err = run(capsys, "cells", "--matrix", json.dumps(
         [[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 3, 2], [2, 2, 3, 1, 3], [2, 2, 2, 3, 1]]

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from cactuscells import (
+    CoxeterSystem,
     WeightFunction,
     diagram_automorphisms,
     get_system,
@@ -43,6 +44,34 @@ def test_enumerate_infinite_needs_bound():
     els = inf.enumerate(5)
     assert len(els) == 11  # 1 + 2 per positive length
     assert [e.length for e in els] == sorted(e.length for e in els)
+
+
+def _left_mult_table_agrees(sysm, ids):
+    """left_mult_gen, asked for first on a fresh system (so half the entries
+    come from their mirror's fill), against (w^-1 s)^-1 and the word s.w."""
+    table = {(s, w): sysm.left_mult_gen(s, w) for w in ids for s in range(sysm.rank)}
+    for (s, w), sw in table.items():
+        assert sw == sysm.inverse(sysm.mult_gen(sysm.inverse(w), s))
+        assert sw == sysm.id_of_word((s,) + sysm.word(w))
+        assert sysm.left_mult_gen(s, sw) == w
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)"])
+def test_left_multiplication_table(name):
+    sysm = CoxeterSystem(system(name).matrix, system(name).labels)
+    _left_mult_table_agrees(sysm, sysm.all_ids())
+
+
+def test_left_multiplication_table_on_an_infinite_group():
+    """Affine A~2 grown lazily: every element up to length 6 is reached by
+    mult_gen before any all_ids call, and the table grows with the group."""
+    sysm = CoxeterSystem(((1, 3, 3), (3, 1, 3), (3, 3, 1)), ("a", "b", "c"))
+    ids, layer = [0], [0]
+    for _ in range(6):
+        layer = sorted({sysm.mult_gen(w, s) for w in layer for s in range(3)} - set(ids))
+        ids += layer
+    _left_mult_table_agrees(sysm, ids)
+    assert sorted(ids) == sysm.all_ids(6)
 
 
 def test_enumeration_order_i23():

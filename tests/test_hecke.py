@@ -28,6 +28,7 @@ from support import (
     B3_WEIGHTS,
     algebra,
     elem,
+    mul_gen_left,
     s_i,
     system,
     t_i,
@@ -36,6 +37,7 @@ from support import (
 )
 
 I2_8 = (("s", 2), ("t", 3))
+B4_LEX = (("t", (1, 0)), ("s1", (0, 1)), ("s2", (0, 1)), ("s3", (0, 1)))
 
 
 def T(alg, labels):
@@ -183,6 +185,55 @@ def test_kl_oracle_unequal_parameters():
     alg = algebra("I2(4)", UNEQ)
     for w in alg.system.all_ids():
         assert _kl_oracle(alg, w) == alg.kl_vec(w)
+
+
+def test_cs_left_row_checks_the_peel_against_the_stored_c(monkeypatch):
+    """A stored C_{sy} that is wrong is caught by a row that its own walk did
+    not build: s is a left descent of sy other than its first letter."""
+    alg = HeckeAlgebra(system("B3"), weights("B3", B3_WEIGHTS))
+    sysm = alg.system
+    alg.kl_vec(sysm.longest_id())
+    s, y = next(
+        (s, y) for y in sysm.all_ids() for s in range(sysm.rank)
+        if sysm.left_mult_gen(s, y) > y and sysm.word(sysm.left_mult_gen(s, y))[0] != s
+    )
+    sy = sysm.left_mult_gen(s, y)
+    assert (alg.gen_id(s), y) not in alg._h
+    stored = list(alg._kl)
+    stored[sy] = {x: L.scale(p, 2) if x == 0 else p for x, p in stored[sy].items()}
+    monkeypatch.setattr(alg, "_kl", stored)
+    with pytest.raises(ConsistencyError, match="C_%d C_%d does not peel down to C_%d"
+                       % (alg.gen_id(s), y, sy)):
+        alg.cs_left_row(s, y)
+
+
+def test_walk_that_peels_nothing_is_caught(monkeypatch):
+    """With the peeling heap never seeded, the first C_w that needs an M
+    keeps a coefficient of degree >= 0."""
+    alg = HeckeAlgebra(system("A3"), weights("A3"))
+    monkeypatch.setattr("cactuscells.hecke.heapq.heapify", lambda heap: heap.clear())
+    with pytest.raises(ConsistencyError,
+                       match=r"coefficient of T_\d+ in C_\d+ is not strictly negative"):
+        alg.kl_vec(alg.system.longest_id())
+
+
+def test_doubled_top_coefficient_is_caught(monkeypatch):
+    """A C_y whose top coefficient is doubled leaves C_{sy} with top
+    coefficient 2."""
+    alg = HeckeAlgebra(system("A3"), weights("A3"))
+    sysm = alg.system
+    w = sysm.longest_id()
+    y = sysm.left_mult_gen(sysm.word(w)[0], w)
+    alg.kl_vec(w - 1)
+    kl_vec = alg.kl_vec
+
+    def doubled_top(x):
+        cx = kl_vec(x)
+        return {**cx, y: L.scale(cx[y], 2)} if x == y else cx
+
+    monkeypatch.setattr(alg, "kl_vec", doubled_top)
+    with pytest.raises(ConsistencyError, match="C_%d is not unitriangular" % w):
+        alg.kl_vec(w)
 
 
 def test_basis_conversion_round_trip():
@@ -449,7 +500,7 @@ def _cs_row_oracle(alg, s, y, side):
     """C_s C_y (left) or C_y C_s (right) multiplied in the T basis, as
     T_s C_y + v^-L(s) C_y, and rewritten by to_kl."""
     cy = alg.kl_vec(y)
-    vec = alg.mul_gen_left(s, cy) if side == "left" else alg.mul_gen_right(cy, s)
+    vec = mul_gen_left(alg, s, cy) if side == "left" else alg.mul_gen_right(cy, s)
     vneg = {L.pack(tuple(-e for e in alg.weights.of(s))): 1}
     for z, p in cy.items():
         for e, c in L.mul(vneg, p).items():
@@ -458,7 +509,9 @@ def _cs_row_oracle(alg, s, y, side):
 
 
 @pytest.mark.parametrize(
-    "name,spec", [("A3", None), ("I2(8)", I2_8), ("B3", B3_WEIGHTS), ("B3", B3_LEX)]
+    "name,spec",
+    [("A3", None), ("I2(8)", I2_8), ("B3", B3_WEIGHTS), ("B3", B3_LEX),
+     ("H3", None), ("D4", None), ("B4", B4_LEX)],
 )
 def test_cs_rows_match_standard_basis_products(name, spec):
     sysm = system(name)
