@@ -10,11 +10,15 @@ the algebra; the brute-force all-element oracle for that fact lives in the
 test suite.
 
 The a-function of z is the maximal degree of any structure constant
-h_{x,y,z}.  As h_{x,y,z} = h_{y^-1,x^-1,z^-1}, it is read from the rows
-with x <= y^-1 in id order alone, each degree counting for z and z^-1.
-Delta(z) is minus the degree of the coefficient of T_1 in C_z, the Duflo
-set collects the z with a(z) = Delta(z), and gamma_{x,y,z} is the
-coefficient of the top degree v^{a(z^{-1})} in h_{x,y,z^{-1}}.  The checks
+h_{x,y,z}, and gamma_{x,y,z} is the coefficient of the top degree
+v^{a(z^{-1})} in h_{x,y,z^{-1}}.  Both come from one streamed pass over the
+columns of the h table (`HeckeAlgebra.h_column`), which stores no h row: per
+orbit {z, z^-1} it keeps the running maximum degree and the triples that
+reach it with their coefficients, dropping them when the maximum rises.  As
+h_{x,y,z} = h_{y^-1,x^-1,z^-1}, the pass reads only the rows with
+x <= y^-1 in id order, and gamma and P8 read every other triple through
+that mirror.  Delta(z) is minus the degree of the coefficient of T_1 in
+C_z, and the Duflo set collects the z with a(z) = Delta(z).  The checks
 P1, P4, P8, P9 are reported with explicit witnesses on failure; a failed
 check is a result, not an error.
 """
@@ -222,10 +226,13 @@ def _compute_cells(algebra: HeckeAlgebra) -> CellDecomposition:
 
 @dataclass
 class AFunctionTable:
-    """a, alpha, Delta, the Duflo set and the d-map for one (W, phi).
+    """a, alpha, Delta, the Duflo set, the d-map and gamma for one (W, phi).
 
     The values of a, alpha and delta are packed exponents (`laurent.pack`);
-    `laurent.unpack(x, algebra.rank)` gives the tuple."""
+    `laurent.unpack(x, algebra.rank)` gives the tuple.  `top` maps each
+    (x, y, z) with x <= y^-1 in id order and deg h_{x,y,z} = a(z) to the
+    coefficient of v^{a(z)} in h_{x,y,z}; every other triple with x <= y^-1
+    has no term of that degree."""
 
     algebra: HeckeAlgebra
     cells: CellDecomposition
@@ -235,15 +242,20 @@ class AFunctionTable:
     duflo: frozenset
     dmap: dict | None
     dmap_report: CheckReport
+    top: dict
 
     def gamma(self, x: int, y: int, z: int) -> int:
-        """Coefficient of v^{a(z^{-1})} in h_{x,y,z^{-1}}."""
-        zi = self.algebra.system.inverse(z)
-        return self.algebra.h_poly(x, y, zi).get(self.a[zi], 0)
+        """Coefficient of v^{a(z^{-1})} in h_{x,y,z^{-1}}, read through the
+        mirror (y^-1, x^-1, z) when x > y^-1."""
+        inv = self.algebra.system.inverse
+        if x > inv(y):
+            return self.top.get((inv(y), inv(x), z), 0)
+        return self.top.get((x, y, inv(z)), 0)
 
 
 def build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
-    """a, alpha, Delta, the Duflo set and the d-map, from the full h table."""
+    """a, alpha, Delta, the Duflo set, the d-map and gamma, from one streamed
+    pass over the columns of the h table."""
     return algebra.memo("a_table", lambda: _build_a_table(algebra))
 
 
@@ -252,16 +264,24 @@ def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
     cells = compute_cells(algebra)
     ids = sys.all_ids()
     inv = sys.inverse
-    a: list = [None] * len(ids)
-    # h_{x,y,z} = h_{y^-1,x^-1,z^-1}: the rows with x <= y^-1 give every degree
-    for (x, y), row in algebra.full_h_table().items():
-        if x > inv(y):
-            continue
-        for z, p in row.items():
-            d = laurent.deg(p)
-            for w in (z, inv(z)):
-                if a[w] is None or d > a[w]:
-                    a[w] = d
+    # h_{x,y,z} = h_{y^-1,x^-1,z^-1}: the rows with x <= y^-1 give every
+    # degree, each counting for the orbit {z, z^-1}, keyed by its least id.
+    # Per orbit, the running maximum degree and the triples that reach it.
+    top_deg: dict = {}
+    top_at: dict = {}
+    for y in ids:
+        for x, row in algebra.h_column(y):
+            for z, p in row.items():
+                d = laurent.deg(p)
+                o = min(z, inv(z))
+                cur = top_deg.get(o)
+                if cur is None or d > cur:
+                    top_deg[o] = d
+                    top_at[o] = {(x, y, z): p[d]}
+                elif d == cur:
+                    top_at[o][x, y, z] = p[d]
+    a = tuple(top_deg[min(z, inv(z))] for z in ids)
+    top = {t: c for at in top_at.values() for t, c in at.items()}
     w0 = sys.longest_id()
     alpha = tuple(a[sys.multiply(w0, z)] - a[z] for z in ids)
     delta = []
@@ -287,12 +307,13 @@ def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
     return AFunctionTable(
         algebra=algebra,
         cells=cells,
-        a=tuple(a),
+        a=a,
         alpha=alpha,
         delta=tuple(delta),
         duflo=duflo,
         dmap=dmap,
         dmap_report=report,
+        top=top,
     )
 
 
@@ -323,19 +344,18 @@ def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) ->
     if "P8" in which:
         wit = []
         same_l = cells.left.same_cell
-        for (x, y), row in algebra.full_h_table().items():
-            for zp, p in row.items():
-                if p.get(table.a[zp], 0):
-                    z = sys.inverse(zp)
-                    if not (
-                        same_l(x, sys.inverse(y))
-                        and same_l(y, zp)
-                        and same_l(z, sys.inverse(x))
-                    ):
-                        wit.append(
-                            "gamma(%s,%s,%s) != 0 off the cell triangle"
-                            % (render(x), render(y), render(z))
-                        )
+        inv = sys.inverse
+        for t in table.top:
+            x, y, zp = t
+            # the mirror of a triple with x = y^-1 lies in the same row, so in `top`
+            triples = (t,) if x == inv(y) else (t, (inv(y), inv(x), inv(zp)))
+            for x, y, zp in triples:
+                z = inv(zp)
+                if not (same_l(x, inv(y)) and same_l(y, zp) and same_l(z, inv(x))):
+                    wit.append(
+                        "gamma(%s,%s,%s) != 0 off the cell triangle"
+                        % (render(x), render(y), render(z))
+                    )
         out["P8"] = CheckReport.of("P8", sorted(wit))
 
     if "P9" in which:

@@ -788,6 +788,10 @@ def _chain_matrix(orders: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat)
 
 
+def _s_labels(n: int) -> tuple[str, ...]:
+    return tuple("s%d" % (i + 1) for i in range(n))
+
+
 _I2_RE = re.compile(r"^I2\((\d+)\)$")
 
 
@@ -800,20 +804,25 @@ def _named_matrix(name: str):
         return _chain_matrix([order]), ("s", "t")
     if name == "A1":
         return ((1,),), ("s",)
-    if name in ("A2", "A3", "A4"):
+    if name == "G2":
+        return _named_matrix("I2(6)")
+    if name in ("A2", "A3", "A4", "A5"):
         n = int(name[1])
-        return _chain_matrix([3] * (n - 1)), tuple("s%d" % (i + 1) for i in range(n))
-    if name in ("B2", "B3", "B4"):
+        return _chain_matrix([3] * (n - 1)), _s_labels(n)
+    if name in ("B2", "B3", "B4", "B5"):
         n = int(name[1])
-        return (
-            _chain_matrix([4] + [3] * (n - 2)),
-            ("t",) + tuple("s%d" % (i + 1) for i in range(n - 1)),
-        )
-    if name == "D4":
-        mat = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
-        return tuple(tuple(r) for r in mat), ("s1", "s2", "s3", "s4")
+        return _chain_matrix([4] + [3] * (n - 2)), ("t",) + _s_labels(n - 1)
+    if name in ("D4", "D5"):
+        # the chain s1 - ... - s(n-1), with s(n) joined to s(n-2)
+        n = int(name[1])
+        mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+        for i, j in [(k, k + 1) for k in range(n - 2)] + [(n - 3, n - 1)]:
+            mat[i][j] = mat[j][i] = 3
+        return tuple(tuple(r) for r in mat), _s_labels(n)
+    if name == "F4":
+        return _chain_matrix([3, 4, 3]), _s_labels(4)
     if name == "H3":
-        return _chain_matrix([5, 3]), ("s1", "s2", "s3")
+        return _chain_matrix([5, 3]), _s_labels(3)
     raise ValueError("unknown named Coxeter type %r" % name)
 
 

@@ -29,10 +29,14 @@ images of the T_w serve only `HeckeElement.bar()`.
 Structure constants come from the same recursion: for x' = s x < x,
 C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, so the row of C_x C_y in the
 C basis is built from the row of C_x' C_y and the rows of the lower C_z C_y,
-without passing through the standard basis.  Only the pairs with
-x <= y^-1 in id order run it: the anti-involution gives
-h_{x,y,z} = h_{y^-1,x^-1,z^-1}, so every other row is its mirror row with
-the ids inverted and the coefficient dicts shared.  Products by T_u also
+without passing through the standard basis.  One routine runs it,
+`h_column(y)`, which yields the rows of column y in id order and keeps
+nothing once the column is done; the a-function and gamma consume it
+directly.  Only the pairs with x <= y^-1 in id order run it: the
+anti-involution gives h_{x,y,z} = h_{y^-1,x^-1,z^-1}, so every other row is
+its mirror row with the ids inverted.  `h_row` is the on-demand memo over
+it: a miss runs the whole column and stores its rows, and a mirror row
+shares the coefficient dicts of its source row.  Products by T_u also
 stay in the C basis (`t_word_kl`): T_s = C_s - v^-L(s) acts through the
 C_s rows.
 
@@ -58,8 +62,8 @@ v^L(s) and v^-L(s) are one-term dicts packed once per generator from the
 
 Stored coefficients are pooled: each algebra keeps one pool of read-only
 coefficient dicts keyed by their terms, and every finished vector it stores
-(the C_w, the C_s rows, the h rows, the mixed-basis rows) passes once
-through `_share`, so equal polynomials are one object.  Mirror rows and
+(the C_w, the C_s rows, the memoized h rows, the mixed-basis rows) passes
+once through `_share`, so equal polynomials are one object.  Mirror rows and
 right rows reuse their source row's dicts.  A pooled dict is never an
 accumulator's target: `_acc` copies a coefficient before it stores it, and
 `_acc_mul` writes only dicts it created.  All memo tables belong to the
@@ -345,16 +349,42 @@ class HeckeAlgebra:
 
     # -- structure constants -----------------------------------------------------------
 
-    def h_row(self, x: int, y: int) -> dict:
-        """C_x C_y in the Kazhdan-Lusztig basis: a dict z -> h_{x,y,z}.
+    def h_column(self, y: int):
+        """Yield (x, C_x C_y) in the Kazhdan-Lusztig basis for x <= y^-1, in
+        id order: the column y of the structure constants, with no row kept
+        beyond the local dict of this column.
 
-        For x <= y^-1 in id order, with s the first letter of x and x' = s x,
-        C_s C_x' = C_x + sum m_z C_z over z < x, so
-        C_x C_y = C_s (C_x' C_y) - sum m_z C_z C_y, and the pairs (x', y) and
-        (z, y) it reads are below the same bound.  For x > y^-1 the row is
-        read off the mirror h_{x,y,z} = h_{y^-1,x^-1,z^-1} of the
-        anti-involution C_w -> C_{w^-1}, and shares its coefficient dicts
-        with the row of (y^-1, x^-1).
+        With s the first letter of x and x' = s x, C_s C_x' = C_x + sum m_z
+        C_z over z < x, so C_x C_y = C_s (C_x' C_y) - sum m_z C_z C_y; x' and
+        every such z precede x in id order, so their rows are already in the
+        column.  The rows yielded are not pooled.
+        """
+        lmul = self.system.left_mult_gen
+        word = self.system.word
+        col = {0: {y: {self.zero_exp: 1}}}
+        yield 0, col[0]
+        for x in range(1, self.system.inverse(y) + 1):
+            s = word(x)[0]
+            xp = lmul(s, x)
+            row: dict = {}
+            for u, c in col[xp].items():
+                for z, p in self.cs_left_row(s, u).items():
+                    _acc_mul(row, z, c, p)
+            for z, m in self.cs_left_row(s, xp).items():
+                if z != x:
+                    for w, p in col[z].items():
+                        _acc_mul(row, w, m, p, -1)
+            col[x] = row
+            yield x, row
+
+    def h_row(self, x: int, y: int) -> dict:
+        """C_x C_y in the Kazhdan-Lusztig basis: a dict z -> h_{x,y,z}, memoized.
+
+        For x <= y^-1 in id order, a miss runs `h_column(y)` to the end and
+        memoizes every row it yields, pooled, so no column is run twice.  For
+        x > y^-1 the row is read off the mirror h_{x,y,z} = h_{y^-1,x^-1,z^-1}
+        of the anti-involution C_w -> C_{w^-1}, and shares its coefficient
+        dicts with the row of (y^-1, x^-1).
         """
         key = (x, y)
         row = self._h.get(key)
@@ -363,22 +393,13 @@ class HeckeAlgebra:
         inv = self.system.inverse
         if x > inv(y):
             row = {inv(z): p for z, p in self.h_row(inv(y), inv(x)).items()}
-        elif x == 0:
-            row = self._share({y: {self.zero_exp: 1}})
-        else:
-            s = self.system.word(x)[0]
-            xp = self.system.left_mult_gen(s, x)
-            row = {}
-            for u, c in self.h_row(xp, y).items():
-                for z, p in self.cs_left_row(s, u).items():
-                    _acc_mul(row, z, c, p)
-            for z, m in self.cs_left_row(s, xp).items():
-                if z != x:
-                    for w, p in self.h_row(z, y).items():
-                        _acc_mul(row, w, m, p, -1)
-            self._share(row)
+            with self._lock:
+                return self._h.setdefault(key, row)
+        column = [(u, self._share(r)) for u, r in self.h_column(y)]
         with self._lock:
-            return self._h.setdefault(key, row)
+            for u, r in column:
+                self._h.setdefault((u, y), r)
+            return self._h[key]
 
     def h_poly(self, x: int, y: int, z: int) -> dict:
         return self.h_row(x, y).get(z, {})

@@ -1,5 +1,7 @@
 """Cell partitions and preorders, the a-function, Duflo data, P-checks."""
 
+import dataclasses
+
 import pytest
 
 from cactuscells import laurent
@@ -91,6 +93,59 @@ def test_symmetric_group_cell_counts(name, left_count, two_sided_count):
     assert len(dec.left.cells) == left_count
     assert len(dec.right.cells) == left_count
     assert len(dec.two_sided.cells) == two_sided_count
+
+
+def _robinson_schensted(perm) -> tuple[tuple, tuple]:
+    """(insertion tableau P, recording tableau Q) by row insertion."""
+    p_rows: list = []
+    q_rows: list = []
+    for step, x in enumerate(perm, 1):
+        for p_row, q_row in zip(p_rows, q_rows):
+            bump = next((j for j, y in enumerate(p_row) if y > x), None)
+            if bump is None:
+                break
+            p_row[bump], x = x, p_row[bump]
+        else:
+            p_rows.append([])
+            q_rows.append([])
+            p_row, q_row = p_rows[-1], q_rows[-1]
+        p_row.append(x)
+        q_row.append(step)
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+
+
+def _classes(ids, key) -> set:
+    groups: dict = {}
+    for w in ids:
+        groups.setdefault(key(w), set()).add(w)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_a5_cells_are_robinson_schensted_classes():
+    """A5 = S_6 with equal parameters: left cells are the classes of the
+    recording tableau of w = s_i1 ... s_ik acting on positions, right cells
+    those of the insertion tableau and two-sided cells the shapes; 76
+    standard tableaux and 11 partitions of 6."""
+    sysm = system("A5")
+    dec = cells("A5")
+    rs = {}
+    for w in sysm.all_ids():
+        perm = list(range(1, 7))
+        for s in sysm.word(w):
+            perm[s], perm[s + 1] = perm[s + 1], perm[s]
+        rs[w] = _robinson_schensted(perm)
+    ids = sysm.all_ids()
+    assert set(dec.left.cells) == _classes(ids, lambda w: rs[w][1])
+    assert set(dec.right.cells) == _classes(ids, lambda w: rs[w][0])
+    assert set(dec.two_sided.cells) == _classes(ids, lambda w: tuple(map(len, rs[w][0])))
+    assert (len(dec.left.cells), len(dec.two_sided.cells)) == (76, 11)
+
+
+def test_f4_equal_parameter_cell_counts():
+    """Equal-parameter F4: 72 left cells and 11 two-sided cells, one per
+    family of unipotent characters (Lusztig)."""
+    dec = cells("F4")
+    assert (len(dec.left.cells), len(dec.right.cells), len(dec.two_sided.cells)) == (72, 72, 11)
 
 
 @pytest.mark.parametrize("name,spec", [("I2(5)", None), ("I2(6)", UNEQ), ("A3", None), ("B3", B3_WEIGHTS)])
@@ -281,6 +336,28 @@ def test_check_report_of():
     assert not few and few.witnesses == ("b", "a")
 
 
+def _oracle_p8(table, rows) -> CheckReport:
+    """P8 by the loop over every row of the full h table, mirrors included."""
+    sys = table.algebra.system
+    render = lambda w: sys.element(w).render() or "1"
+    same_l = table.cells.left.same_cell
+    wit = []
+    for (x, y), row in rows.items():
+        for zp, p in row.items():
+            if p.get(table.a[zp], 0):
+                z = sys.inverse(zp)
+                if not (
+                    same_l(x, sys.inverse(y))
+                    and same_l(y, zp)
+                    and same_l(z, sys.inverse(x))
+                ):
+                    wit.append(
+                        "gamma(%s,%s,%s) != 0 off the cell triangle"
+                        % (render(x), render(y), render(z))
+                    )
+    return CheckReport.of("P8", sorted(wit))
+
+
 @pytest.mark.parametrize(
     "name,spec",
     [("A3", None), ("H3", None), ("D4", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX),
@@ -288,15 +365,58 @@ def test_check_report_of():
     ids=["A3", "H3", "D4", "B3-t2", "B3-lex", "I2(8)"],
 )
 def test_a_function_is_the_top_degree_over_the_whole_h_table(name, spec):
-    """The a-table, read from the rows with x <= y^-1, against the plain
-    maximum over every row."""
+    """The streamed a-table against the plain maximum over every row of the
+    stored h table, mirrors included; gamma on every triple against the top
+    coefficients of those rows; and every P-report, witnesses included,
+    against P8 looped over those rows, also with the left cells swapped for
+    the right ones, where P8 fails."""
     alg = algebra(name, spec)
+    ids = alg.system.all_ids()
+    inv = alg.system.inverse
+    rows = alg.full_h_table()
     top = {}
-    for row in alg.full_h_table().values():
+    for row in rows.values():
         for z, p in row.items():
             d = laurent.deg(p)
             top[z] = max(top.get(z, d), d)
-    assert a_table(name, spec).a == tuple(top[z] for z in alg.system.all_ids())
+    a = tuple(top[z] for z in ids)
+    table = a_table(name, spec)
+    assert table.a == a
+    gamma = table.gamma
+    for (x, y), row in rows.items():
+        expected = {inv(zp): p[a[zp]] for zp, p in row.items() if a[zp] in p}
+        assert {z: g for z in ids if (g := gamma(x, y, z))} == expected
+    swapped = dataclasses.replace(
+        table, cells=dataclasses.replace(table.cells, left=table.cells.right)
+    )
+    for t in (table, swapped):
+        # P1, P4 and P9 read a, Delta and the cells only, never gamma
+        others = verify_conjectures(dataclasses.replace(t, a=a, top=None), ("P1", "P4", "P9"))
+        assert verify_conjectures(t) == {**others, "P8": _oracle_p8(t, rows)}
+    assert not verify_conjectures(swapped, ("P8",))["P8"].holds
+
+
+@pytest.mark.parametrize(
+    "name,spec",
+    [("A4", None), ("H3", None), ("D4", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX),
+     ("I2(8)", (("s", 2), ("t", 3)))],
+    ids=["A4", "H3", "D4", "B3-t2", "B3-lex", "I2(8)"],
+)
+def test_a_function_is_the_least_delta_on_each_left_cell(name, spec):
+    """Under P1, P4 and P13 (Lusztig, Hecke algebras with unequal parameters,
+    ch. 14), a <= Delta, a is constant on each left cell, and each left cell
+    holds one Duflo involution d, where a(d) = Delta(d); so a is the least
+    Delta on each left cell.  Delta(z) = -deg p_{1,z} comes from the KL basis
+    alone and shares no arithmetic with the h table."""
+    alg = algebra(name, spec)
+    ids = alg.system.all_ids()
+    delta = [-laurent.deg(alg.pstar_poly(0, z)) for z in ids]
+    expected = [None] * len(ids)
+    for cell in cells(name, spec).left.cells:
+        least = min(delta[z] for z in cell)
+        for z in cell:
+            expected[z] = least
+    assert a_table(name, spec).a == tuple(expected)
 
 
 def test_cell_module_constants_examples():

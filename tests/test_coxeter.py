@@ -20,7 +20,8 @@ from support import elem, system
 @pytest.mark.parametrize(
     "name,order",
     [("A1", 2), ("I2(2)", 4), ("I2(3)", 6), ("I2(6)", 12), ("A2", 6), ("A3", 24),
-     ("A4", 120), ("B2", 8), ("B3", 48), ("B4", 384), ("D4", 192), ("H3", 120)],
+     ("A4", 120), ("B2", 8), ("B3", 48), ("B4", 384), ("D4", 192), ("H3", 120),
+     ("A5", 720), ("B5", 3840), ("D5", 1920), ("F4", 1152), ("G2", 12)],
 )
 def test_enumeration_matches_classification(name, order):
     sysm = system(name)

@@ -496,6 +496,29 @@ def test_full_table_is_schedule_independent():
         assert rows == table
 
 
+def test_each_column_runs_once_and_in_id_order(monkeypatch):
+    """h_column(y) yields the rows x <= y^-1 in id order, and h_row runs each
+    column once, to the end, however the rows are asked for."""
+    sysm = system("B3")
+    alg = HeckeAlgebra(sysm, weights("B3", B3_WEIGHTS))
+    inv = sysm.inverse
+    ids = sysm.all_ids()
+    for y in ids:
+        assert [x for x, _ in alg.h_column(y)] == list(range(inv(y) + 1))
+    runs = []
+    column = HeckeAlgebra.h_column
+
+    def counted(self, y):
+        runs.append(y)
+        return column(self, y)
+
+    monkeypatch.setattr(HeckeAlgebra, "h_column", counted)
+    for y in reversed(ids):
+        for x in ids:
+            alg.h_row(x, y)
+    assert sorted(runs) == ids
+
+
 def _cs_row_oracle(alg, s, y, side):
     """C_s C_y (left) or C_y C_s (right) multiplied in the T basis, as
     T_s C_y + v^-L(s) C_y, and rewritten by to_kl."""
@@ -764,6 +787,23 @@ def test_pooled_coefficients_stay_intact_and_shared(flag, spec, monkeypatch, cap
     assert all(id(p) in pooled for vec in stored for p in vec.values())
     coeffs = [p for w in ids for p in alg.kl_vec(w).values()]
     assert len({id(p) for p in coeffs}) == len({frozenset(p.items()) for p in coeffs})
+
+
+def test_streamed_commands_store_no_h_row(monkeypatch, capsys):
+    """afunction, conjectures, cactus verify and cellmaps read a, gamma and the
+    P-checks from streamed columns: afterwards every algebra they used, W's
+    and W_I's, holds only C_s rows in its h memo, and no full table."""
+    registry: dict = {}
+    monkeypatch.setattr("cactuscells.hecke._registry", registry)
+    commands = [["afunction"], ["conjectures"], ["cactus", "verify"], ["cellmaps", "--parabolic", "s1,s2"]]
+    flags = ["--type", "B3", "--weights", "t=2,s1=1,s2=1"]
+    assert [main(command + flags) for command in commands] == [0] * len(commands)
+    capsys.readouterr()
+    assert len(registry) > 1
+    for alg in registry.values():
+        gens = set(alg._gen_ids)
+        assert alg._h and all(x in gens for x, _ in alg._h)
+        assert not alg._h_complete
 
 
 def test_mixed_tables_are_built_per_call_and_not_kept():
