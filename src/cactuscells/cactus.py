@@ -47,6 +47,9 @@ class CactusPresentation:
         )
 
     def is_generator(self, labels) -> bool:
+        labels = tuple(labels)
+        if not all(str(x) in self.system.index_of for x in labels):
+            return False
         return self.canonical(labels) in set(self.generators)
 
 
@@ -126,10 +129,10 @@ class CactusAction:
         return parabolic_involutions(self.algebra, labels)
 
     def pair(self, labels, side: str) -> CellularPair:
-        labels = self.presentation.canonical(labels)
+        labels = tuple(labels)
         if not self.presentation.is_generator(labels):
             raise ValueError("%r is not a cactus generator for this system" % (labels,))
-        return self.involutions(labels).extended(side)
+        return self.involutions(self.presentation.canonical(labels)).extended(side)
 
     def hypotheses_hold(self) -> bool:
         return all(

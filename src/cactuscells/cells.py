@@ -319,6 +319,11 @@ def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
 
 def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) -> dict:
     """Check P1/P4/P8/P9 for (W, S, phi); failures carry witnesses."""
+    unknown = [c for c in which if c not in ("P1", "P4", "P8", "P9")]
+    if unknown:
+        raise ValueError(
+            "unknown check %s; choose from P1, P4, P8, P9" % ", ".join(map(repr, unknown))
+        )
     algebra = table.algebra
     sys = algebra.system
     cells = table.cells

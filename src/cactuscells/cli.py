@@ -59,9 +59,12 @@ def _parse_weights_flag(text: str) -> dict:
         if not value:
             raise UsageError("weight entry %r is not of the form gen=value" % part)
         comps = value.split(":")
-        out[label.strip()] = (
-            int(comps[0]) if len(comps) == 1 else tuple(int(c) for c in comps)
-        )
+        try:
+            out[label.strip()] = (
+                int(comps[0]) if len(comps) == 1 else tuple(int(c) for c in comps)
+            )
+        except ValueError:
+            raise UsageError("--weights must be gen=int or gen=int:int entries, not %r" % part)
     return out
 
 
@@ -69,6 +72,8 @@ def _load_context(args):
     cfg = {}
     if getattr(args, "config", None):
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(cfg, dict):
+            raise UsageError("--config must be a JSON object")
     merged = dict(cfg)
     if getattr(args, "type", None):
         merged["type"] = args.type
@@ -86,6 +91,20 @@ def _load_context(args):
             merged[key] = val
     if getattr(args, "allow_large", False):
         merged["allow_large"] = True
+    kind = merged.get("type")
+    if kind is not None and not isinstance(kind, str):
+        raise UsageError('--type must be a string such as "B3" or "I2(5)"')
+    matrix = merged.get("matrix")
+    if matrix is not None and not (
+        isinstance(matrix, list)
+        and all(isinstance(row, list) and all(type(x) is int for x in row) for row in matrix)
+    ):
+        raise UsageError("--matrix must be a list of lists of integers")
+    labels = merged.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise UsageError("--labels must be a list of generator labels")
     weights = merged.get("weights")
     if weights is not None and not (
         isinstance(weights, dict) and all(_is_weight(v) for v in weights.values())

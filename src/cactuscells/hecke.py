@@ -27,28 +27,26 @@ is the one place that picks the left or the right row by side.  The bar
 images of the T_w serve only `HeckeElement.bar()`.
 
 Structure constants come from the same recursion: for x' = s x < x,
-C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, so the row of C_x C_y in the
-C basis is built from the row of C_x' C_y and the rows of the lower C_z C_y,
-without passing through the standard basis.  One routine runs it,
-`h_column(y)`, which yields the rows of column y in id order and keeps
-nothing once the column is done; the a-function and gamma consume it
-directly.  Only the pairs with x <= y^-1 in id order run it: the
-anti-involution gives h_{x,y,z} = h_{y^-1,x^-1,z^-1}, so every other row is
-its mirror row with the ids inverted.  `h_row` is the on-demand memo over
-it: a miss runs the whole column and stores its rows, and a mirror row
-shares the coefficient dicts of its source row.  Products by T_u also
-stay in the C basis (`t_word_kl`): T_s = C_s - v^-L(s) acts through the
-C_s rows.
-
-The M do not depend on the basis the C are written in, so the same recursion
-writes C_w over the induced basis T_a C_x of a parabolic W_I (a minimal in
-a W_I, x in W_I; `MixedBasisTable`): C_x is its own row for x in W_I, and
-otherwise C_w = C_s C_{sw} - sum_{z != w} M_z C_z.  C_s = T_s + v^-L(s) acts
-on T_a C_x by Deodhar's lemma: T_{sa} C_x + v^L(s) T_a C_x if sa < a;
-T_{sa} C_x + v^-L(s) T_a C_x if sa is minimal in its coset; otherwise
-sa = a t with t in I, and the product is T_a C_t C_x, read off the C_t row
-of x inside W_I.  Its coefficients are Geck's relative Kazhdan-Lusztig
-polynomials (On the induction of Kazhdan-Lusztig cells).
+C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, so C_x C_y = C_s (C_x' C_y) -
+sum_{z != x} M_z C_z C_y in the C basis.  The M do not depend on the basis
+the C are written in, so `_peel_rows` is the one routine that runs this
+recursion, given the first rows and the action of C_s on a row.
+`h_column(y)` starts it from C_1 C_y = C_y and yields column y in id order,
+keeping nothing once the column is done; the a-function and gamma consume
+it directly.  Only x <= y^-1 run it: h_{x,y,z} = h_{y^-1,x^-1,z^-1} by the
+anti-involution, so every other row is a mirror row.  `h_row` memoizes it
+on demand: a miss stores the whole column, and a mirror row shares the
+coefficient dicts of its source row.  `mixed_basis_table` starts it from C_x
+for x in W_I and writes C_w over the induced basis T_a C_x of a parabolic
+W_I (a minimal in a W_I; `MixedBasisTable`), where C_s = T_s + v^-L(s) acts
+by Deodhar's lemma: T_{sa} C_x + v^L(s) T_a C_x if sa < a, T_{sa} C_x +
+v^-L(s) T_a C_x if sa is minimal in its coset, and otherwise sa = a t with
+t in I and the product is T_a C_t C_x, read off the C_t row of x.  Those
+coefficients are Geck's relative Kazhdan-Lusztig polynomials (On the
+induction of Kazhdan-Lusztig cells).  Every product by C_s of a C-basis
+vector is the one step `_cs_times` through the C_s rows of either side: the
+h columns on the left, and products by T_u (`t_word_kl`), where T_s =
+C_s - v^-L(s) is `_cs_times` less v^-L(s) times the vector.
 
 Internally coefficients are the plain dicts of `laurent`, keyed by packed
 int exponents (`zero_exp` is 0, and the bar of v^e is v^-e); element vectors
@@ -349,33 +347,48 @@ class HeckeAlgebra:
 
     # -- structure constants -----------------------------------------------------------
 
+    def _cs_times(self, side: str, s: int, vec: dict) -> dict:
+        """C_s h (side "left") or h C_s (side "right") for a C-basis vector h,
+        through the C_s rows."""
+        out: dict = {}
+        for y, c in vec.items():
+            for z, p in self.cs_row(side, s, y).items():
+                _acc_mul(out, z, c, p)
+        return out
+
+    def _peel_rows(self, ids, first, cs_times):
+        """Yield (w, row(w)) for each w of the ascending `ids`: first(w) when
+        that is not None, else cs_times(s, row(s w)) - sum_{z != w} M_z row(z),
+        with s the first letter of w and the M read off cs_left_row(s, s w).
+        As the M sit at z < w, every row read is built and already yielded.
+        """
+        word = self.system.word
+        lmul = self.system.left_mult_gen
+        rows: dict = {}
+        for w in ids:
+            row = first(w)
+            if row is None:
+                s = word(w)[0]
+                sw = lmul(s, w)
+                row = cs_times(s, rows[sw])
+                for z, m in self.cs_left_row(s, sw).items():
+                    if z != w:
+                        for u, p in rows[z].items():
+                            _acc_mul(row, u, m, p, -1)
+            rows[w] = row
+            yield w, row
+
     def h_column(self, y: int):
         """Yield (x, C_x C_y) in the Kazhdan-Lusztig basis for x <= y^-1, in
-        id order: the column y of the structure constants, with no row kept
-        beyond the local dict of this column.
-
-        With s the first letter of x and x' = s x, C_s C_x' = C_x + sum m_z
-        C_z over z < x, so C_x C_y = C_s (C_x' C_y) - sum m_z C_z C_y; x' and
-        every such z precede x in id order, so their rows are already in the
-        column.  The rows yielded are not pooled.
+        id order: column y of the structure constants, peeled from C_1 C_y =
+        C_y with no row kept beyond this column.  The rows are not pooled.
         """
-        lmul = self.system.left_mult_gen
-        word = self.system.word
-        col = {0: {y: {self.zero_exp: 1}}}
-        yield 0, col[0]
-        for x in range(1, self.system.inverse(y) + 1):
-            s = word(x)[0]
-            xp = lmul(s, x)
-            row: dict = {}
-            for u, c in col[xp].items():
-                for z, p in self.cs_left_row(s, u).items():
-                    _acc_mul(row, z, c, p)
-            for z, m in self.cs_left_row(s, xp).items():
-                if z != x:
-                    for w, p in col[z].items():
-                        _acc_mul(row, w, m, p, -1)
-            col[x] = row
-            yield x, row
+        unit = {y: {self.zero_exp: 1}}
+        return self._peel_rows(
+            range(self.system.inverse(y) + 1),
+            lambda x: unit if x == 0 else None,
+            lambda s, vec: self._cs_times("left", s, vec),
+        )
 
     def h_row(self, x: int, y: int) -> dict:
         """C_x C_y in the Kazhdan-Lusztig basis: a dict z -> h_{x,y,z}, memoized.
@@ -465,24 +478,16 @@ class HeckeAlgebra:
         """T_u h (side "left") or h T_u (side "right") in the Kazhdan-Lusztig
         basis, for a C-basis vector h and u given by a reduced word.
 
-        Each letter applies T_s = C_s - v^-L(s) through the C_s rows, so the
-        product never passes through the standard basis.  Only the row of a
-        descent y holds y itself, as C_s C_y = (v^L(s) + v^-L(s)) C_y, and
-        there T_s C_y = v^L(s) C_y.
+        Each letter applies T_s = C_s - v^-L(s) as `_cs_times` less v^-L(s)
+        h, so the product never passes through the standard basis.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         letters = tuple(letters)
         for s in reversed(letters) if side == "left" else letters:
-            up, down = self._up[s], self._down[s]
-            out: dict = {}
+            out = self._cs_times(side, s, klvec)
+            down = self._down[s]
             for y, c in klvec.items():
-                row = self.cs_row(side, s, y)
-                if y in row:
-                    _acc_mul(out, y, up, c)
-                    continue
-                for z, p in row.items():
-                    _acc_mul(out, z, c, p)
                 _acc_mul(out, y, down, c, -1)
             klvec = out
         return klvec
@@ -490,8 +495,64 @@ class HeckeAlgebra:
     # -- mixed basis for a parabolic subgroup ------------------------------------------
 
     def mixed_basis_table(self, pdata: ParabolicData) -> "MixedBasisTable":
-        """A new table for `pdata` on each call; tables are not memoized."""
-        return _build_mixed_table(self, pdata)
+        """Every C_w over the induced basis T_a C_x of W_I, peeled from the
+        C_x of W_I; a new table on each call, as tables are not memoized."""
+        sys = self.system
+        if not sys.is_finite:
+            raise ValueError("mixed basis tables need a finite group")
+        zero = self.zero_exp
+        one = {zero: 1}
+        parts = pdata.left_parts
+        products = pdata.left_products
+        columns: dict = {}
+
+        def cs_column(s: int, u: int) -> tuple:
+            """C_s T_a C_x for u = a x: (s u, v^e, None) when it is T_{sa} C_x
+            + v^e T_a C_x, else (None, None, the row over the basis)."""
+            key = (s, u)
+            col = columns.get(key)
+            if col is None:
+                a, x = parts[u]
+                sa = sys.left_mult_gen(s, a)
+                if sys.length(sa) < sys.length(a):
+                    col = (sys.left_mult_gen(s, u), self._up[s], None)
+                elif parts[sa][1] == 0:
+                    col = (sys.left_mult_gen(s, u), self._down[s], None)
+                else:
+                    # s a = a t with t in I, so C_s T_a C_x = T_a C_t C_x
+                    row = self.cs_left_row(sys.word(parts[sa][1])[0], x)
+                    col = (None, None, {products[a, z]: p for z, p in row.items()})
+                columns[key] = col
+            return col
+
+        def deodhar(s: int, vec: dict) -> dict:
+            out: dict = {}
+            for u, c in vec.items():
+                su, mono, col = cs_column(s, u)
+                if col is None:
+                    _acc(out, su, c)
+                    _acc_mul(out, u, mono, c)
+                else:
+                    for z, p in col.items():
+                        _acc_mul(out, z, c, p)
+            return out
+
+        rows: dict = {}
+        peeled = self._peel_rows(
+            sys.all_ids(),  # ids ascend in length, so every row used is built
+            lambda w: {w: {zero: 1}} if parts[w][0] == 0 else None,
+            deodhar,
+        )
+        for w, row in peeled:
+            if row.get(w) != one:
+                raise ConsistencyError("mixed-basis diagonal coefficient is not 1 at %d" % w)
+            for u, p in row.items():
+                if u != w and laurent.deg(p) >= zero:
+                    raise ConsistencyError(
+                        "mixed-basis coefficient (%d in %d) not strictly negative" % (u, w)
+                    )
+            rows[w] = self._share(row)
+        return MixedBasisTable(self, pdata, rows)
 
     # -- public element-level API ----------------------------------------------------------
 
@@ -645,88 +706,15 @@ class MixedBasisTable:
     """Expansion of the C-basis over the induced basis T_a C_x (a minimal, x in W_I).
 
     Rows are keyed by the element by (= b*y) and columns by u = a*x; the
-    decomposition of u recovers the pair (a, x).  The rows come from the left
-    C_s recursion: row(x) = {x: 1} for x in W_I, and otherwise, with s the
-    first letter of w and y = s w, row(w) = C_s row(y) - sum_{z != w} M_z
-    row(z), the M read off cs_left_row(s, y).  C_s sends the column u = a x
-    to s u with coefficient 1 plus u itself with v^L(s) if sa < a, or with
-    v^-L(s) if sa is minimal in its coset; otherwise sa = a t with t in I
-    and the column becomes T_a C_t C_x.  Construction checks that the
-    diagonal coefficient is 1 and that off-diagonal coefficients are
-    strictly negative in degree; the finer support constraints are exposed
-    for the verification layer.
+    decomposition of u recovers the pair (a, x).  `mixed_basis_table` builds
+    them and checks that the diagonal coefficient is 1 and that off-diagonal
+    coefficients are strictly negative in degree; the finer support
+    constraints are exposed for the verification layer.
     """
 
     algebra: HeckeAlgebra
     pdata: ParabolicData
     rows: dict  # w -> {u: coefficient dict}
-
-    def coefficient(self, a: int, x: int, b: int, y: int) -> dict:
-        sys = self.algebra.system
-        u = sys.multiply(a, x)
-        w = sys.multiply(b, y)
-        return self.rows[w].get(u, {})
-
-
-def _build_mixed_table(algebra: HeckeAlgebra, pdata: ParabolicData) -> MixedBasisTable:
-    sys = algebra.system
-    if not sys.is_finite:
-        raise ValueError("mixed basis tables need a finite group")
-    zero = algebra.zero_exp
-    one = {zero: 1}
-    parts = pdata.left_parts
-    products = pdata.left_products
-    columns: dict = {}
-
-    def cs_column(s: int, u: int) -> tuple:
-        """C_s T_a C_x for u = a x (Deodhar's lemma): (s u, v^e, None) when it
-        is T_{sa} C_x + v^e T_a C_x, else (None, None, the row over the basis)."""
-        key = (s, u)
-        col = columns.get(key)
-        if col is None:
-            a, x = parts[u]
-            sa = sys.left_mult_gen(s, a)
-            if sys.length(sa) < sys.length(a):
-                col = (sys.left_mult_gen(s, u), algebra._up[s], None)
-            elif parts[sa][1] == 0:
-                col = (sys.left_mult_gen(s, u), algebra._down[s], None)
-            else:
-                # s a = a t with t in I, so C_s T_a C_x = T_a C_t C_x
-                row = algebra.cs_left_row(sys.word(parts[sa][1])[0], x)
-                col = (None, None, {products[a, z]: p for z, p in row.items()})
-            columns[key] = col
-        return col
-
-    rows: dict = {}
-    for w in sys.all_ids():  # ids ascend in length, so every row used is built
-        if parts[w][0] == 0:
-            rows[w] = algebra._share({w: {zero: 1}})
-            continue
-        s = sys.word(w)[0]
-        y = sys.left_mult_gen(s, w)
-        out: dict = {}
-        for u, c in rows[y].items():
-            su, mono, col = cs_column(s, u)
-            if col is None:
-                _acc(out, su, c)
-                _acc_mul(out, u, mono, c)
-            else:
-                for z, p in col.items():
-                    _acc_mul(out, z, c, p)
-        # C_s C_y = C_w + sum_z M_z C_z
-        for z, m in algebra.cs_left_row(s, y).items():
-            if z != w:
-                for u, p in rows[z].items():
-                    _acc_mul(out, u, m, p, -1)
-        if out.get(w) != one:
-            raise ConsistencyError("mixed-basis diagonal coefficient is not 1 at %d" % w)
-        for u, p in out.items():
-            if u != w and laurent.deg(p) >= zero:
-                raise ConsistencyError(
-                    "mixed-basis coefficient (%d in %d) not strictly negative" % (u, w)
-                )
-        rows[w] = algebra._share(out)
-    return MixedBasisTable(algebra, pdata, rows)
 
 
 _registry: dict = {}

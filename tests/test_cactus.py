@@ -5,6 +5,7 @@ import pytest
 from cactuscells import get_system
 from cactuscells.cactus import CactusAction, cactus_presentation, parse_word, render_word
 from cactuscells.cellmaps import CellularPair
+from cactuscells.cli import main
 from cactuscells.hecke import algebra_for
 from cactuscells import WeightFunction
 
@@ -218,7 +219,19 @@ def test_action_requires_finite_group():
         CactusAction(algebra_for(inf, wt))
 
 
-def test_unknown_generator_rejected():
+def test_unknown_generator_rejected(capsys):
     act = action("A3")
     with pytest.raises(ValueError):
         act.pair(("s1", "s3"), "left")  # disconnected
+    # a letter naming a generator outside S: the library raises ValueError
+    # and the CLI prints a usage error
+    assert not act.presentation.is_generator(("s1", "s9"))
+    with pytest.raises(ValueError, match="not a cactus generator"):
+        act.pair(("s1", "s9"), "left")
+    with pytest.raises(ValueError, match="not a cactus generator"):
+        act.act((("s9",),), "right", 0)
+    code = main(["cactus", "act", "--word", "s1,s9", "--type", "A3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: 's1,s9' is not a cactus generator\n"
+

@@ -246,6 +246,13 @@ def test_conjectures_hold(name, spec):
     }
 
 
+def test_verify_conjectures_rejects_an_unknown_check():
+    table = a_table("A2")
+    with pytest.raises(ValueError, match="'P2'"):
+        verify_conjectures(table, ("P1", "P2"))
+    assert set(verify_conjectures(table, ("P9",))) == {"P9"}
+
+
 def _brute_force_partition(alg, side):
     """Cells from multiplications by *all* elements, closure by reachability."""
     sysm = alg.system

@@ -295,6 +295,33 @@ def test_wrongly_typed_word_element_weights_and_out_are_usage_errors(tmp_path, c
     assert code == 0 and json.loads(out)["word"] == "s1"
 
 
+def test_wrongly_typed_group_config_is_a_usage_error(tmp_path, capsys):
+    """The root, type, matrix and labels of a config, and a --matrix or
+    --weights flag of the wrong type, each name their key."""
+    square = [[1, 3], [3, 1]]
+    cases = [
+        ([1, 2], (), "--config"),
+        ({"type": 5}, (), "--type"),
+        ({"matrix": 5}, (), "--matrix"),
+        ({"matrix": [[1, 3], 3]}, (), "--matrix"),
+        ({"matrix": square, "labels": 5}, (), "--labels"),
+        ({"matrix": square, "labels": "ab"}, (), "--labels"),
+        ({}, ("--matrix", "5"), "--matrix"),
+        ({}, ("--type", "A2", "--weights", "s1=a"), "--weights"),
+        ({}, ("--type", "B2", "--weights", "t=1:x,s1=1:0"), "--weights"),
+    ]
+    cfg = tmp_path / "job.json"
+    for config, flags, key in cases:
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "cells", "--config", str(cfg), *flags)
+        assert (code, out) == (1, ""), (config, flags)
+        assert err.startswith("error: %s must be " % key), (config, flags, err)
+    # a config with a matrix and a list of labels still works
+    cfg.write_text(json.dumps({"matrix": square, "labels": ["a", "b"]}))
+    code, out, _ = run(capsys, "cells", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["cells"][0]["members"] == [""]
+
+
 def test_large_group_gate(capsys):
     code, _, err = run(capsys, "cells", "--matrix", json.dumps(
         [[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 3, 2], [2, 2, 3, 1, 3], [2, 2, 2, 3, 1]]
