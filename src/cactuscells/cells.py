@@ -4,10 +4,10 @@ The left preorder is the finest preorder making the span of the C_x below
 any C_w a left ideal; it is generated by the relation "C_z appears in
 C_s C_y for some generator s".  Cells are the strongly connected components
 of that relation, the preorder is reachability on the condensation, and
-the right/two-sided versions use right multiplication resp. the union of
-both edge sets.  Generator multiplications suffice because the C_s generate
-the algebra; the brute-force all-element oracle for that fact lives in the
-test suite.
+the right/two-sided versions use right multiplication (the left edges
+mirrored by C_w -> C_{w^-1}) resp. the union of both edge sets.  Generator
+multiplications suffice because the C_s generate the algebra; the
+brute-force all-element oracle for that fact lives in the test suite.
 
 The a-function of z is the maximal degree of any structure constant
 h_{x,y,z}, and gamma_{x,y,z} is the coefficient of the top degree
@@ -208,11 +208,11 @@ def _compute_cells(algebra: HeckeAlgebra) -> CellDecomposition:
     ids = sys.all_ids()
     n = len(ids)
     left_adj: list[set] = [set() for _ in range(n)]
-    right_adj: list[set] = [set() for _ in range(n)]
     for y in ids:
         for s in range(sys.rank):
             left_adj[y].update(algebra.cs_left_row(s, y))
-            right_adj[y].update(algebra.cs_right_row(y, s))
+    inv = sys.inverse
+    right_adj = [{inv(z) for z in left_adj[inv(y)]} for y in ids]
     both = [left_adj[y] | right_adj[y] for y in ids]
     return CellDecomposition(
         left=_partition_from_edges("left", n, left_adj),

@@ -169,6 +169,14 @@ class CoxeterSystem:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("need %d distinct generator labels" % n)
+            for lab in labels:
+                # "." joins the letters of a word, "," and "|" the labels and
+                # letters of a cactus word, "=" a --weights entry
+                if not lab or any(c in ".,|=" or c.isspace() for c in lab):
+                    raise ValueError(
+                        "generator label %r must be non-empty, without whitespace "
+                        "or any of . , | =" % lab
+                    )
         self.matrix = matrix
         self.labels = labels
         self.rank = n
@@ -572,6 +580,8 @@ class WeightFunction:
 
     @classmethod
     def from_mapping(cls, system: CoxeterSystem, mapping) -> "WeightFunction":
+        """Weights from a mapping of each label to an int or a list or tuple
+        of ints; any other value (a bool or a float, say) raises ValueError."""
         for lab in mapping:
             if lab not in system.index_of:
                 raise ValueError("unknown generator %r in weights" % lab)
@@ -580,7 +590,13 @@ class WeightFunction:
             if lab not in mapping:
                 raise ValueError("missing weight for generator %r" % lab)
             v = mapping[lab]
-            vals.append((int(v),) if isinstance(v, int) else tuple(int(x) for x in v))
+            comps = (v,) if type(v) is int else v
+            if not isinstance(comps, (list, tuple)) or not all(type(x) is int for x in comps):
+                raise ValueError(
+                    "weight of generator %r must be an int or a list or tuple of ints, not %r"
+                    % (lab, v)
+                )
+            vals.append(tuple(comps))
         return cls(system, tuple(vals))
 
     def restrict(self, pdata: "ParabolicData") -> "WeightFunction":

@@ -22,9 +22,9 @@ coefficient that is not strictly negative leaves C_{sy} and yields the M
 nonzero only for sz < z < y (ibid., section 6).  So C_w is the walk on
 (s, s w) for s the first letter of w, and cs_left_row reads its M.  The
 anti-involution T_w -> T_{w^-1} commutes with bar and sends C_w to
-C_{w^-1}, so the right rows are the left rows of the inverses; `cs_row`
-is the one place that picks the left or the right row by side.  The bar
-images of the T_w serve only `HeckeElement.bar()`.
+C_{w^-1}, so each right-hand product is the image (`_mirror`: ids inverted,
+coefficients shared) of a left-hand one, and only left C_s rows are computed
+or stored.  The bar images of the T_w serve only `HeckeElement.bar()`.
 
 Structure constants come from the same recursion: for x' = s x < x,
 C_s C_x' = C_x + sum_{z < x} M^s_{z,x'} C_z, so C_x C_y = C_s (C_x' C_y) -
@@ -44,9 +44,9 @@ v^-L(s) T_a C_x if sa is minimal in its coset, and otherwise sa = a t with
 t in I and the product is T_a C_t C_x, read off the C_t row of x.  Those
 coefficients are Geck's relative Kazhdan-Lusztig polynomials (On the
 induction of Kazhdan-Lusztig cells).  Every product by C_s of a C-basis
-vector is the one step `_cs_times` through the C_s rows of either side: the
-h columns on the left, and products by T_u (`t_word_kl`), where T_s =
-C_s - v^-L(s) is `_cs_times` less v^-L(s) times the vector.
+vector is the one left step `_cs_times`: the h columns, and products by T_u
+(`t_word_kl`), where T_s = C_s - v^-L(s) is `_cs_times` less v^-L(s) times
+the vector, and a right product by T_u is a mirrored left one.
 
 Internally coefficients are the plain dicts of `laurent`, keyed by packed
 int exponents (`zero_exp` is 0, and the bar of v^e is v^-e); element vectors
@@ -141,7 +141,6 @@ class HeckeAlgebra:
         self._kl: list[dict] = []
         self._h: dict = {}
         self._h_complete = False
-        self._right: dict = {}
         self._pool: dict = {}
         self._gen_ids = [system.id_of_word((s,)) for s in range(system.rank)]
         self._memo: dict = {}
@@ -347,12 +346,16 @@ class HeckeAlgebra:
 
     # -- structure constants -----------------------------------------------------------
 
-    def _cs_times(self, side: str, s: int, vec: dict) -> dict:
-        """C_s h (side "left") or h C_s (side "right") for a C-basis vector h,
-        through the C_s rows."""
+    def _mirror(self, vec: dict) -> dict:
+        """C_w -> C_{w^-1} on a C-basis vector: ids inverted, coefficients shared."""
+        inv = self.system.inverse
+        return {inv(z): p for z, p in vec.items()}
+
+    def _cs_times(self, s: int, vec: dict) -> dict:
+        """C_s h for a C-basis vector h, through the left C_s rows."""
         out: dict = {}
         for y, c in vec.items():
-            for z, p in self.cs_row(side, s, y).items():
+            for z, p in self.cs_left_row(s, y).items():
                 _acc_mul(out, z, c, p)
         return out
 
@@ -387,7 +390,7 @@ class HeckeAlgebra:
         return self._peel_rows(
             range(self.system.inverse(y) + 1),
             lambda x: unit if x == 0 else None,
-            lambda s, vec: self._cs_times("left", s, vec),
+            self._cs_times,
         )
 
     def h_row(self, x: int, y: int) -> dict:
@@ -405,7 +408,7 @@ class HeckeAlgebra:
             return row
         inv = self.system.inverse
         if x > inv(y):
-            row = {inv(z): p for z, p in self.h_row(inv(y), inv(x)).items()}
+            row = self._mirror(self.h_row(inv(y), inv(x)))
             with self._lock:
                 return self._h.setdefault(key, row)
         column = [(u, self._share(r)) for u, r in self.h_column(y)]
@@ -442,15 +445,8 @@ class HeckeAlgebra:
         raise ValueError("side must be 'left' or 'right'")
 
     def cs_right_row(self, y: int, s: int) -> dict:
-        """C_y C_s in the Kazhdan-Lusztig basis: cs_left_row(s, y^-1) inverted."""
-        key = (s, y)
-        row = self._right.get(key)
-        if row is None:
-            inv = self.system.inverse
-            row = {inv(z): p for z, p in self.cs_left_row(s, inv(y)).items()}
-            with self._lock:
-                row = self._right.setdefault(key, row)
-        return row
+        """C_y C_s in the Kazhdan-Lusztig basis, mirrored from cs_left_row(s, y^-1)."""
+        return self._mirror(self.cs_left_row(s, self.system.inverse(y)))
 
     def cs_left_row(self, s: int, y: int) -> dict:
         """C_s C_y in the Kazhdan-Lusztig basis (memo shared with h_row)."""
@@ -479,18 +475,21 @@ class HeckeAlgebra:
         basis, for a C-basis vector h and u given by a reduced word.
 
         Each letter applies T_s = C_s - v^-L(s) as `_cs_times` less v^-L(s)
-        h, so the product never passes through the standard basis.
+        h, so the product never passes through the standard basis.  h T_u is
+        the `_mirror` of T_{u^-1} applied to the mirror of h.
         """
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         letters = tuple(letters)
-        for s in reversed(letters) if side == "left" else letters:
-            out = self._cs_times(side, s, klvec)
+        if side == "right":
+            letters, klvec = letters[::-1], self._mirror(klvec)
+        elif side != "left":
+            raise ValueError("side must be 'left' or 'right'")
+        for s in reversed(letters):
+            out = self._cs_times(s, klvec)
             down = self._down[s]
             for y, c in klvec.items():
                 _acc_mul(out, y, down, c, -1)
             klvec = out
-        return klvec
+        return self._mirror(klvec) if side == "right" else klvec
 
     # -- mixed basis for a parabolic subgroup ------------------------------------------
 

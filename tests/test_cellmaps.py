@@ -325,6 +325,33 @@ def test_extraction_failure_reports_renormalised_remainder():
     assert witness["remainder"] in ({"": "2*v^(0)"}, {"": "-2*v^(0)"})
 
 
+def test_disagreeing_sign_maps_raise():
+    # a fresh algebra whose right products by T_{w_0} are negated
+    alg = HeckeAlgebra(system("A2"), weights("A2"))
+    t_word_kl = alg.t_word_kl
+    alg.t_word_kl = lambda side, letters, klvec: {
+        z: {e: -c for e, c in p.items()} if side == "right" else p
+        for z, p in t_word_kl(side, letters, klvec).items()
+    }
+    with pytest.raises(TheoremViolationError, match="the two sign maps disagree at '1'"):
+        longest_element_involutions(alg)
+
+
+def test_broken_involution_structure_raises_with_the_six_checks():
+    # a fresh algebra whose left products by T_{w_0} have their ids inverted,
+    # so the right map is w -> delta(w)^-1: signs agree, the structure fails
+    alg = HeckeAlgebra(system("A2"), weights("A2"))
+    inv = alg.system.inverse
+    t_word_kl = alg.t_word_kl
+    alg.t_word_kl = lambda side, letters, klvec: {
+        inv(z) if side == "left" else z: p
+        for z, p in t_word_kl(side, letters, klvec).items()
+    }
+    with pytest.raises(TheoremViolationError, match="involution structure fails at 's1'") as err:
+        longest_element_involutions(alg)
+    assert err.value.witness == {"checks": (False, True, False, False, False, True)}
+
+
 # -- Geck sign identity (Cor 3.5-type) ---------------------------------------------------------
 
 

@@ -247,6 +247,29 @@ def test_conjectures_empty_check_list_exits_1(capsys):
         assert err == "error: --check names no conjecture; choose from P1,P4,P8,P9\n"
 
 
+def test_conjectures_unknown_check_exits_1(capsys):
+    code, out, err = run(capsys, "conjectures", "--type", "A2", "--check", "P1,P2")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown check 'P2'; choose from P1, P4, P8, P9\n"
+
+
+def test_labels_that_break_the_text_forms_exit_1(capsys):
+    matrix = "[[1,3,2],[3,1,3],[2,3,1]]"
+    for labels, bad in (("s,,t", ""), ("a.b,c,d", "a.b"), ("a,b=c,d", "b=c")):
+        code, out, err = run(capsys, "group", "--matrix", matrix, "--labels", labels)
+        assert (code, out) == (1, ""), labels
+        assert err.startswith("error: generator label %r must be" % bad), (labels, err)
+
+
+def test_unknown_element_label_and_weight_entry_without_value_exit_1(capsys):
+    code, out, err = run(
+        capsys, "cactus", "act", "--type", "A2", "--word", "s1", "--element", "s1.s9"
+    )
+    assert (code, out, err) == (1, "", "error: unknown generator in --element: 's9'\n")
+    code, out, err = run(capsys, "cells", "--type", "A2", "--weights", "s1=1,s2")
+    assert (code, out, err) == (1, "", "error: weight entry 's2' is not of the form gen=value\n")
+
+
 def test_max_length_must_be_a_nonnegative_int(tmp_path, capsys):
     code, out, err = run(capsys, "group", "--type", "A3", "--max-length", "-1")
     assert code == 1 and out == "" and "max-length" in err

@@ -1,5 +1,6 @@
 """Coxeter systems: enumeration, canonical forms, Bruhat order, parabolics."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -385,6 +386,26 @@ def test_weight_validation():
     # every label must name a generator
     with pytest.raises(ValueError, match="unknown generator 'x' in weights"):
         WeightFunction.from_mapping(i4, {"s": 1, "t": 1, "x": 3})
+
+
+def test_weight_values_are_not_coerced():
+    """A weight is an int or a list or tuple of ints: a float, a bool or a
+    float inside a list raises ValueError naming the generator."""
+    i4 = system("I2(4)")
+    for bad in ({"s": [2.7], "t": [1]}, {"s": True, "t": 2}, {"s": 2.0, "t": 1}):
+        with pytest.raises(ValueError, match="weight of generator 's' must be"):
+            WeightFunction.from_mapping(i4, bad)
+    assert WeightFunction.from_mapping(i4, {"s": [2], "t": (1,)}).values == ((2,), (1,))
+
+
+def test_labels_that_break_the_text_forms_are_rejected():
+    """Labels are non-empty and free of whitespace and of the separators of
+    element words, cactus words and --weights entries."""
+    matrix = ((1, 3), (3, 1))
+    for bad in ("", ".", "a.b", "a,b", "a|b", "a=b", "a b", "a\tb"):
+        with pytest.raises(ValueError, match=re.escape("generator label %r must be" % bad)):
+            CoxeterSystem(matrix, ("s", bad))
+    assert CoxeterSystem(matrix, ("s_1", "t'")).labels == ("s_1", "t'")
 
 
 def test_element_rendering_round_trip():

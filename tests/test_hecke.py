@@ -44,6 +44,14 @@ def T(alg, labels):
     return alg.t_of(system_of(alg).from_word(labels).index)
 
 
+def test_to_kl_reports_a_failed_triangular_reduction():
+    # a fresh algebra whose C_w have diagonal 2, so subtracting C_x leaves T_x
+    alg = HeckeAlgebra(system("A2"), weights("A2"))
+    alg.kl_vec = lambda w: {w: {alg.zero_exp: 2}}
+    with pytest.raises(ConsistencyError, match="triangular reduction failed at 1$"):
+        alg.to_kl({1: {alg.zero_exp: 1}})
+
+
 def system_of(alg):
     return alg.system
 
@@ -581,6 +589,21 @@ def test_t_word_kl_matches_standard_basis_products(name, spec):
                 assert alg.t_word_kl(side, word, {y: one}) == _t_word_oracle(alg, side, word, y)
     with pytest.raises(ValueError):
         alg.t_word_kl("both", (0,), {0: one})
+
+
+@pytest.mark.parametrize("name,spec", [("A3", None), ("B3", B3_WEIGHTS)])
+def test_t_word_kl_for_words_of_non_involutions(name, spec):
+    """T_u C_y and C_y T_u for every u != u^-1, whose word read backwards is
+    not a word of u, against the T-basis product."""
+    sysm = system(name)
+    alg = HeckeAlgebra(sysm, weights(name, spec))
+    one = {alg.zero_exp: 1}
+    words = [sysm.word(u) for u in sysm.all_ids() if sysm.inverse(u) != u]
+    assert words
+    for word in words:
+        for y in sysm.all_ids():
+            for side in ("left", "right"):
+                assert alg.t_word_kl(side, word, {y: one}) == _t_word_oracle(alg, side, word, y)
 
 
 @pytest.mark.parametrize(
