@@ -14,6 +14,8 @@ the cells of W_I and its P-checks.  Every product by T_{w_I} is taken in the
 C basis by `HeckeAlgebra.t_word_kl`, and one reader,
 `_extract_signed_element`, finds the surviving signed basis element, both
 when the involutions are built and when the characterization is checked.
+The characterization takes one product per element for both sides: as w_I
+is an involution, C_{w^-1} T_{w_I} is the mirror of T_{w_I} C_w.
 The involutions are memoized on the algebra, each with its extended pairs:
 `ParabolicInvolutions.extended(side)` is the one place that picks the left
 or the right extension by side.
@@ -350,39 +352,64 @@ def verify_characterization(pinv: ParabolicInvolutions) -> dict:
 
     Left version: eta_L(w) v^{alpha_I(pr_L(w))} C_w T_{w_I} = C_{lambda_I^L(w)}
     modulo the span of the C_u with pr_L(u) strictly below omega_I(pr_L(w))
-    in the left preorder of W_I; mirrored on the right.
+    in the left preorder of W_I; mirrored on the right.  One product serves
+    both sides: T_{w_I} C_w is read by the right version at w, and its
+    mirror, C_{w^-1} T_{w_I} (w_I is an involution), by the left one at w^-1.
     """
-    return {side: _characterization(pinv, side) for side in ("left", "right")}
-
-
-def _characterization(pinv: ParabolicInvolutions, side: str) -> CheckReport:
     algebra = pinv.algebra
-    sys = algebra.system
+    found = _characterization_found(pinv)
+    out = {}
+    for side in ("left", "right"):
+        pair = pinv.extended(side)
+        wit = [
+            _render(algebra, w)
+            for w in algebra.system.all_ids()
+            if found[side][w] != (pair.delta[w], pair.mu[w])
+        ]
+        out[side] = CheckReport.of("characterization-" + side, wit)
+    return out
+
+
+def _characterization_reader(pinv: ParabolicInvolutions, side: str):
+    """read(klvec, w): the (z, +-1) that the side's congruence at w finds in
+    klvec, which is C_w T_{w_I} (side "left") or T_{w_I} C_w (side "right"),
+    or None when the renormalised remainder is not a signed basis element."""
+    algebra = pinv.algebra
     pdata = pinv.pdata
-    wI_word = sys.word(pdata.longest)
     part = pinv.cells.partition(side)
     to_sub = pdata.to_sub
-    pair = pinv.extended(side)
-    ids = sys.all_ids()
-    pr = {w: pdata.project(w, side) for w in ids}
-    # the left version multiplies by T_{w_I} on the right, and vice versa
-    t_side = "right" if side == "left" else "left"
-    one = {algebra.zero_exp: 1}
-    wit: list = []
-    for w in ids:
+    pr = {w: pdata.project(w, side) for w in algebra.system.all_ids()}
+
+    def read(klvec: dict, w: int):
         y = pr[w]
         omega_y = to_sub(pdata.omega(y))
-        # C_w T_{w_I} (or T_{w_I} C_w) is +-v^-alpha C_target modulo lower terms
-        klc = algebra.t_word_kl(t_side, wI_word, {w: one})
         try:
-            found = _extract_signed_element(
-                algebra, klc, w, lambda z: part.less(to_sub(pr[z]), omega_y), pinv.alpha[y]
+            return _extract_signed_element(
+                algebra, klvec, w, lambda z: part.less(to_sub(pr[z]), omega_y), pinv.alpha[y]
             )
         except TheoremViolationError:
-            found = None
-        if found != (pair.delta[w], pair.mu[w]):
-            wit.append(_render(algebra, w))
-    return CheckReport.of("characterization-" + side, wit)
+            return None
+
+    return read
+
+
+def _characterization_found(pinv: ParabolicInvolutions) -> dict:
+    """side -> {w: what that side's congruence at w finds}, from one product
+    T_{w_I} C_w per w; only the findings are kept, not the products."""
+    algebra = pinv.algebra
+    sys = algebra.system
+    wI_word = sys.word(pinv.pdata.longest)
+    inv = sys.inverse
+    one = {algebra.zero_exp: 1}
+    read_left = _characterization_reader(pinv, "left")
+    read_right = _characterization_reader(pinv, "right")
+    left: dict = {}
+    right: dict = {}
+    for w in sys.all_ids():
+        prod = algebra.t_word_kl("left", wI_word, {w: one})
+        right[w] = read_right(prod, w)
+        left[inv(w)] = read_left(algebra._mirror(prod), inv(w))
+    return {"left": left, "right": right}
 
 
 def verify_commutation(pinv: ParabolicInvolutions, pair: CellularPair) -> dict:

@@ -38,6 +38,8 @@ __all__ = [
     "compute_cells",
     "AFunctionTable",
     "build_a_table",
+    "CONJECTURES",
+    "check_conjecture_names",
     "verify_conjectures",
     "cell_module_constants",
 ]
@@ -317,13 +319,23 @@ def _build_a_table(algebra: HeckeAlgebra) -> AFunctionTable:
     )
 
 
-def verify_conjectures(table: AFunctionTable, which=("P1", "P4", "P8", "P9")) -> dict:
-    """Check P1/P4/P8/P9 for (W, S, phi); failures carry witnesses."""
-    unknown = [c for c in which if c not in ("P1", "P4", "P8", "P9")]
+CONJECTURES = ("P1", "P4", "P8", "P9")
+
+
+def check_conjecture_names(which) -> None:
+    """Raise ValueError naming every entry of `which` that is not one of
+    CONJECTURES; cheap, so a caller can run it before building any table."""
+    unknown = [c for c in which if c not in CONJECTURES]
     if unknown:
         raise ValueError(
-            "unknown check %s; choose from P1, P4, P8, P9" % ", ".join(map(repr, unknown))
+            "unknown check %s; choose from %s"
+            % (", ".join(map(repr, unknown)), ", ".join(CONJECTURES))
         )
+
+
+def verify_conjectures(table: AFunctionTable, which=CONJECTURES) -> dict:
+    """Check P1/P4/P8/P9 for (W, S, phi); failures carry witnesses."""
+    check_conjecture_names(which)
     algebra = table.algebra
     sys = algebra.system
     cells = table.cells

@@ -14,7 +14,13 @@ import sys
 from pathlib import Path
 
 from .cactus import CactusAction, parse_word, render_word
-from .cells import build_a_table, compute_cells, verify_conjectures
+from .cells import (
+    CONJECTURES,
+    build_a_table,
+    check_conjecture_names,
+    compute_cells,
+    verify_conjectures,
+)
 from .cellmaps import (
     TheoremViolationError,
     parabolic_involutions,
@@ -356,11 +362,12 @@ def _cmd_cellmaps(args) -> int:
 
 def _cmd_conjectures(args) -> int:
     system, merged, algebra = _desk_context(args)
-    which = ("P1", "P4", "P8", "P9")
+    which = CONJECTURES
     if merged.get("check") is not None:
         which = _names(merged, "check", "conjecture names")
     if not which:
         raise UsageError("--check names no conjecture; choose from P1,P4,P8,P9")
+    check_conjecture_names(which)
     table = build_a_table(algebra)
     reports = verify_conjectures(table, which)
     doc = {

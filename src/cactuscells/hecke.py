@@ -43,20 +43,22 @@ by Deodhar's lemma: T_{sa} C_x + v^L(s) T_a C_x if sa < a, T_{sa} C_x +
 v^-L(s) T_a C_x if sa is minimal in its coset, and otherwise sa = a t with
 t in I and the product is T_a C_t C_x, read off the C_t row of x.  Those
 coefficients are Geck's relative Kazhdan-Lusztig polynomials (On the
-induction of Kazhdan-Lusztig cells).  Every product by C_s of a C-basis
-vector is the one left step `_cs_times`: the h columns, and products by T_u
-(`t_word_kl`), where T_s = C_s - v^-L(s) is `_cs_times` less v^-L(s) times
-the vector, and a right product by T_u is a mirrored left one.
+induction of Kazhdan-Lusztig cells).  The h columns multiply by C_s through
+the one left step `_cs_times`.  Products by T_u (`t_word_kl`) apply T_s =
+C_s - v^-L(s) in one pass per letter: at a left descent y, T_s C_y =
+v^L(s) C_y, and otherwise T_s C_y is the row C_s C_y less v^-L(s) C_y.  A
+right product by T_u is a mirrored left one.
 
 Internally coefficients are the plain dicts of `laurent`, keyed by packed
 int exponents (`zero_exp` is 0, and the bar of v^e is v^-e); element vectors
 are dicts mapping element ids to coefficient dicts.  Every product of
 coefficients accumulates in place through `laurent.add_mul` (`_acc_mul`),
-whose inner step is one int add per term product, and the monomial factors
-v^L(s) and v^-L(s) are one-term dicts packed once per generator from the
-`WeightFunction`; the walk multiplies by them by adding the packed L(s) or
--L(s) to each exponent.  Exponent tuples appear only at the public boundary:
-`element` packs them, and the `GroupAlgebraElement` views unpack them.
+whose inner step is one int add per term product.  The monomials v^L(s)
+and v^-L(s) are never multiplied: L(s) is packed once per generator from the
+`WeightFunction`, and the walk, `t_word_kl` and the Deodhar step add L(s) or
+-L(s) to each exponent (`_acc_shift`).  Exponent
+tuples appear only at the public boundary: `element` packs them, and the
+`GroupAlgebraElement` views unpack them.
 
 Stored coefficients are pooled: each algebra keeps one pool of read-only
 coefficient dicts keyed by their terms, and every finished vector it stores
@@ -64,12 +66,12 @@ coefficient dicts keyed by their terms, and every finished vector it stores
 once through `_share`, so equal polynomials are one object.  Mirror rows and
 right rows reuse their source row's dicts.  A pooled dict is never an
 accumulator's target: `_acc` copies a coefficient before it stores it, and
-`_acc_mul` writes only dicts it created.  All memo tables belong to the
-algebra, including the cells, a-tables and involutions that other modules
-keep in `HeckeAlgebra.memo`; they are lock-protected and immutable once
-inserted, so concurrent readers are safe and results do not depend on
-scheduling.  Mixed-basis tables are the exception: `mixed_basis_table`
-builds one per call and keeps none, as each is read once.
+`_acc_shift` and `_acc_mul` write only dicts they created.  All memo tables
+belong to the algebra, including the cells, a-tables and involutions that
+other modules keep in `HeckeAlgebra.memo`; they are lock-protected and
+immutable once inserted, so concurrent readers are safe and results do not
+depend on scheduling.  Mixed-basis tables are the exception:
+`mixed_basis_table` builds one per call and keeps none, as each is read once.
 """
 
 from __future__ import annotations
@@ -109,6 +111,26 @@ def _acc(vec: dict, w: int, poly: dict) -> None:
         del vec[w]
 
 
+def _acc_shift(vec: dict, w: int, p: dict, e: int) -> None:
+    """In-place vec[w] += v^e * p for a packed exponent e: one int add per
+    term, dropping w when its coefficient cancels."""
+    cur = vec.get(w)
+    if cur is None:
+        if p:
+            vec[w] = {f + e: c for f, c in p.items()}
+        return
+    get = cur.get
+    for f, c in p.items():
+        f += e
+        c = get(f, 0) + c
+        if c:
+            cur[f] = c
+        elif f in cur:
+            del cur[f]
+    if not cur:
+        del vec[w]
+
+
 def _acc_mul(vec: dict, w: int, a: dict, b: dict, sign: int = 1) -> None:
     """In-place vec[w] += sign * a * b, dropping w when its coefficient cancels."""
     cur = vec.get(w)
@@ -130,13 +152,11 @@ class HeckeAlgebra:
         self.rank = weights.rank
         self.group = OrderedAbelianGroup(self.rank)
         self.zero_exp = 0
-        # the packed L(s), and the monomials v^L(s) and v^-L(s)
+        # the packed L(s); v^L(s) + v^-L(s), the diagonal of C_s C_y for
+        # sy < y; and xi_s = v^L(s) - v^-L(s)
         self._weight = [laurent.pack(weights.of(s)) for s in range(system.rank)]
-        self._up = [{e: 1} for e in self._weight]
-        self._down = [{-e: 1} for e in self._weight]
-        # v^L(s) + v^-L(s), the diagonal of C_s C_y for sy < y
-        self._cs_diag = [laurent.add(u, d) for u, d in zip(self._up, self._down)]
-        self._xi = [laurent.sub(u, d) for u, d in zip(self._up, self._down)]
+        self._cs_diag = [laurent.add({e: 1}, {-e: 1}) for e in self._weight]
+        self._xi = [laurent.sub({e: 1}, {-e: 1}) for e in self._weight]
         self._bar: list[dict] = []
         self._kl: list[dict] = []
         self._h: dict = {}
@@ -263,14 +283,7 @@ class HeckeAlgebra:
                 e = up
             else:
                 e = -up
-            cur = vec.get(x)
-            if cur is None:
-                vec[x] = {f + e: c for f, c in p.items()}
-            else:
-                for f, c in p.items():
-                    laurent.add_term(cur, f + e, c)
-                if not cur:
-                    del vec[x]
+            _acc_shift(vec, x, p, e)
             _acc(vec, sx, p)
         heapq.heapify(heap)
         ms: dict = {}
@@ -474,20 +487,31 @@ class HeckeAlgebra:
         """T_u h (side "left") or h T_u (side "right") in the Kazhdan-Lusztig
         basis, for a C-basis vector h and u given by a reduced word.
 
-        Each letter applies T_s = C_s - v^-L(s) as `_cs_times` less v^-L(s)
-        h, so the product never passes through the standard basis.  h T_u is
-        the `_mirror` of T_{u^-1} applied to the mirror of h.
+        Each letter is one pass over h with T_s = C_s - v^-L(s): at a left
+        descent y (s y < y), C_s C_y = (v^L(s) + v^-L(s)) C_y, so T_s C_y =
+        v^L(s) C_y is the coefficient shifted by L(s); otherwise T_s C_y is
+        the row cs_left_row(s, y), which lives on s y and on left descents,
+        less v^-L(s) C_y.  The product never passes through the standard
+        basis.  h T_u is the `_mirror` of T_{u^-1} applied to the mirror of h.
         """
         letters = tuple(letters)
         if side == "right":
             letters, klvec = letters[::-1], self._mirror(klvec)
         elif side != "left":
             raise ValueError("side must be 'left' or 'right'")
+        lmul = self.system.left_mult_gen
         for s in reversed(letters):
-            out = self._cs_times(s, klvec)
-            down = self._down[s]
+            up = self._weight[s]
+            out: dict = {}
             for y, c in klvec.items():
-                _acc_mul(out, y, down, c, -1)
+                if lmul(s, y) < y:
+                    _acc_shift(out, y, c, up)
+                else:
+                    for z, p in self.cs_left_row(s, y).items():
+                        _acc_mul(out, z, c, p)
+                    # every other write of this pass lands on a left
+                    # descent, which y is not: this is y's whole coefficient
+                    out[y] = {f - up: -a for f, a in c.items()}
             klvec = out
         return self._mirror(klvec) if side == "right" else klvec
 
@@ -506,17 +530,17 @@ class HeckeAlgebra:
         columns: dict = {}
 
         def cs_column(s: int, u: int) -> tuple:
-            """C_s T_a C_x for u = a x: (s u, v^e, None) when it is T_{sa} C_x
-            + v^e T_a C_x, else (None, None, the row over the basis)."""
+            """C_s T_a C_x for u = a x: (s u, e, None) when it is T_{sa} C_x
+            + v^e T_a C_x (e packed), else (None, None, the row over the basis)."""
             key = (s, u)
             col = columns.get(key)
             if col is None:
                 a, x = parts[u]
                 sa = sys.left_mult_gen(s, a)
                 if sys.length(sa) < sys.length(a):
-                    col = (sys.left_mult_gen(s, u), self._up[s], None)
+                    col = (sys.left_mult_gen(s, u), self._weight[s], None)
                 elif parts[sa][1] == 0:
-                    col = (sys.left_mult_gen(s, u), self._down[s], None)
+                    col = (sys.left_mult_gen(s, u), -self._weight[s], None)
                 else:
                     # s a = a t with t in I, so C_s T_a C_x = T_a C_t C_x
                     row = self.cs_left_row(sys.word(parts[sa][1])[0], x)
@@ -527,10 +551,10 @@ class HeckeAlgebra:
         def deodhar(s: int, vec: dict) -> dict:
             out: dict = {}
             for u, c in vec.items():
-                su, mono, col = cs_column(s, u)
+                su, e, col = cs_column(s, u)
                 if col is None:
                     _acc(out, su, c)
-                    _acc_mul(out, u, mono, c)
+                    _acc_shift(out, u, c, e)
                 else:
                     for z, p in col.items():
                         _acc_mul(out, z, c, p)

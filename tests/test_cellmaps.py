@@ -13,6 +13,8 @@ from cactuscells.cellmaps import (
     CellularPair,
     ParabolicInvolutions,
     TheoremViolationError,
+    _characterization_found,
+    _characterization_reader,
     degree_bounds_report,
     longest_element_involutions,
     parabolic_involutions,
@@ -390,6 +392,48 @@ def test_characterization_congruences(name, spec, labels):
     reports = verify_characterization(pv)
     assert reports["left"].holds, reports["left"].witnesses
     assert reports["right"].holds, reports["right"].witnesses
+
+
+@pytest.mark.parametrize(
+    "name,spec",
+    [("A3", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX), ("I2(8)", (("s", 2), ("t", 3)))],
+)
+def test_one_product_characterization_matches_two_products(name, spec):
+    """Each side's findings from the one product T_{w_I} C_w per w (the left
+    side reading its mirror at w^-1) equal those from that side's own
+    product: C_w T_{w_I} on the left, T_{w_I} C_w on the right."""
+    alg = algebra(name, spec)
+    sysm = alg.system
+    one = {alg.zero_exp: 1}
+    for g in cactus_presentation(sysm).generators:
+        pv = parabolic_involutions(alg, g)
+        word = sysm.word(pv.pdata.longest)
+        found = _characterization_found(pv)
+        for side, t_side in (("left", "right"), ("right", "left")):
+            read = _characterization_reader(pv, side)
+            expected = {
+                w: read(alg.t_word_kl(t_side, word, {w: one}), w) for w in sysm.all_ids()
+            }
+            assert None not in expected.values()
+            assert found[side] == expected, (g, side)
+
+
+@pytest.mark.parametrize(
+    "name,spec",
+    [("A3", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX), ("I2(8)", (("s", 2), ("t", 3)))],
+)
+def test_t_wI_product_does_not_depend_on_the_reduced_word(name, spec):
+    """T_{w_I} C_y along word(w_I) and along its reverse, also a reduced word
+    of the involution w_I, for every cactus generator I."""
+    alg = algebra(name, spec)
+    sysm = alg.system
+    one = {alg.zero_exp: 1}
+    for g in cactus_presentation(sysm).generators:
+        word = sysm.word(sysm.parabolic(g).longest)
+        for y in sysm.all_ids():
+            assert alg.t_word_kl("left", word, {y: one}) == alg.t_word_kl(
+                "left", word[::-1], {y: one}
+            ), (g, y)
 
 
 def test_characterization_detects_a_flipped_sign():

@@ -253,6 +253,21 @@ def test_conjectures_unknown_check_exits_1(capsys):
     assert err == "error: unknown check 'P2'; choose from P1, P4, P8, P9\n"
 
 
+def test_conjectures_unknown_check_exits_1_before_any_h_column(capsys, monkeypatch):
+    # on B4 with t=2 the a-table takes seconds; an unknown name must not wait for it
+    from cactuscells.hecke import HeckeAlgebra
+
+    def no_column(self, y):
+        raise AssertionError("h_column ran before the --check names were checked")
+
+    monkeypatch.setattr(HeckeAlgebra, "h_column", no_column)
+    code, out, err = run(
+        capsys, "conjectures", "--type", "B4", "--weights", "t=2,s1=1,s2=1,s3=1", "--check", "P2"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: unknown check 'P2'; choose from P1, P4, P8, P9\n"
+
+
 def test_labels_that_break_the_text_forms_exit_1(capsys):
     matrix = "[[1,3,2],[3,1,3],[2,3,1]]"
     for labels, bad in (("s,,t", ""), ("a.b,c,d", "a.b"), ("a,b=c,d", "b=c")):

@@ -606,6 +606,38 @@ def test_t_word_kl_for_words_of_non_involutions(name, spec):
                 assert alg.t_word_kl(side, word, {y: one}) == _t_word_oracle(alg, side, word, y)
 
 
+@pytest.mark.parametrize("name,spec", [("A3", None), ("B3", B3_WEIGHTS), ("B3", B3_LEX)])
+def test_t_word_kl_on_vectors_with_several_terms(name, spec):
+    """T_u h and h T_u for C-basis vectors h with several ids and coefficients
+    of several terms, so the exponent shifts at descents (packed rank-2 ones
+    on B3 lex) act on whole coefficients, against the same combination of
+    T-basis products."""
+    sysm = system(name)
+    alg = HeckeAlgebra(sysm, weights(name, spec))
+    rng = random.Random(7)
+    ids = sysm.all_ids()
+    words = [sysm.word(sysm.parabolic(g).longest) for g in cactus_presentation(sysm).generators]
+    words += [sysm.word(rng.choice(ids)) for _ in range(4)]
+    oracle: dict = {}
+    for word in words:
+        for _ in range(6):
+            h = {}
+            for y in rng.sample(ids, 4):
+                h[y] = {}
+                for _ in range(3):
+                    e = L.pack(tuple(rng.randint(-3, 3) for _ in range(alg.rank)))
+                    L.add_term(h[y], e, rng.choice((-2, -1, 1, 3)))
+            h = {y: p for y, p in h.items() if p}
+            for side in ("left", "right"):
+                expected: dict = {}
+                for y, c in h.items():
+                    if (side, word, y) not in oracle:
+                        oracle[side, word, y] = _t_word_oracle(alg, side, word, y)
+                    for z, p in oracle[side, word, y].items():
+                        _acc_mul(expected, z, c, p)
+                assert alg.t_word_kl(side, word, h) == expected, (side, word, h)
+
+
 @pytest.mark.parametrize(
     "name,spec",
     [("I2(5)", None), ("I2(8)", I2_8), ("A3", None), ("B3", B3_WEIGHTS),
